@@ -29,7 +29,6 @@ from .linops import (
     PsfConvolutionMap,
     build_fredholm_map,
     gaussian_psf,
-    operator_norm_estimate,
     read_pgm,
     read_psf_text,
     write_pgm,

@@ -13,6 +13,7 @@ alpha_i couple solution-space vectors, and the process stops when either
 falls to roundoff scale, at which point the generated subspace is exhausted.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,12 @@ import numpy as np
 from .errors import NumericalBreakdownError, StateError, TrivialDataError
 
 _EPS = np.finfo(float).eps
+
+
+def _finite(value, name):
+    if not math.isfinite(value):
+        raise NumericalBreakdownError(f"{name} is not finite ({value})")
+    return value
 
 
 @dataclass
@@ -73,7 +80,8 @@ class BidiagProcess:
     linmap : LinearMap
         The forward operator.
     b : array
-        Data vector; must be nonzero.
+        Data vector; must be nonzero and finite. A non-finite data norm or
+        coupling raises NumericalBreakdownError.
     pinv_apply : callable or None
         Action of K^+ on a vector; None means the identity metric.
     reorthogonalize : bool
@@ -91,7 +99,7 @@ class BidiagProcess:
         self.reorthogonalize = bool(reorthogonalize)
         self.keep_vectors = self.reorthogonalize if keep_vectors is None else bool(keep_vectors)
 
-        beta1 = float(np.linalg.norm(b))
+        beta1 = _finite(float(np.linalg.norm(b)), "data norm beta_1")
         if beta1 == 0.0:
             raise TrivialDataError("data vector is identically zero")
         u = b / beta1
@@ -135,7 +143,7 @@ class BidiagProcess:
         # the exact pairing is a positive semidefinite quadratic form; a
         # negative value is roundoff unless it is large both relative to the
         # summands and on the termination scale
-        sp = float(s @ p)
+        sp = _finite(float(s @ p), "pairing s^T p")
         if sp < 0.0:
             rel_tol = s.shape[0] * _EPS * np.linalg.norm(s) * np.linalg.norm(p)
             if sp < -rel_tol and -sp > abs_tol * abs_tol:
@@ -161,7 +169,7 @@ class BidiagProcess:
             for _ in range(2):
                 for uj in self.U:
                     r -= (uj @ r) * uj
-        beta_next = float(np.linalg.norm(r))
+        beta_next = _finite(float(np.linalg.norm(r)), "coupling beta")
         if beta_next <= self._tol:
             self.terminated = True
             self.reason = "beta"

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .solver import Discrepancy, FixedIters, LCurve, dp_stop, idarr_solve, irL2_
 ITERATIVE_METHODS = ("iDARR", "IR-l2", "IR-L2")
 DIRECT_METHODS = ("l2-direct", "L2-direct", "DARTR")
 ALL_METHODS = ITERATIVE_METHODS + DIRECT_METHODS
+GEOMETRY_FREE_METHODS = ("IR-l2", "l2-direct")  # need no exploration weights
 
 RESULT_COLUMNS = (
     "method", "nsr", "trial", "k_stop", "l2rho_error",
@@ -51,13 +52,18 @@ RESULT_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
+    """The fredholm-bench settings; its fields are the config file's keys.
+
+    A tuple field's metadata names the type of its comma-separated items.
+    """
+
     kernel: str = "exp"
     m: int = 500
     n: int = 100
     truth: str = "in-range"
-    nsr_ladder: tuple = NSR_LADDER
+    nsr_ladder: tuple = field(default=NSR_LADDER, metadata={"item": float})
     trials: int = 20
-    methods: tuple = ALL_METHODS
+    methods: tuple = field(default=ALL_METHODS, metadata={"item": str})
     stop_rule: str = "lcurve"
     tau: float = 1.01
     max_iters: int = 30
@@ -95,6 +101,19 @@ def _validate_config(cfg):
     return cfg
 
 
+def _parse_field(f, text):
+    """Parse config or flag text as field f's type; a tuple is a comma-separated list."""
+    if f.type is tuple:
+        return tuple(f.metadata["item"](v.strip()) for v in text.split(",") if v.strip())
+    return f.type(text)
+
+
+def _format_field(f, value):
+    kind = f.metadata.get("item", f.type)
+    fmt = (lambda v: f"{v:g}") if kind is float else str
+    return ",".join(map(fmt, value)) if f.type is tuple else fmt(value)
+
+
 def load_config(path, cfg=None):
     """Read key=value sections into an ExperimentConfig."""
     cfg = cfg or ExperimentConfig()
@@ -109,34 +128,12 @@ def load_config(path, cfg=None):
     if not parser.has_section("experiment"):
         raise IoError(f"{path}: missing [experiment] section")
     sec = parser["experiment"]
+    schema = {f.name: f for f in fields(ExperimentConfig)}
     try:
         for key in sec:
-            if key == "kernel":
-                cfg.kernel = sec.get(key)
-            elif key == "m":
-                cfg.m = sec.getint(key)
-            elif key == "n":
-                cfg.n = sec.getint(key)
-            elif key == "truth":
-                cfg.truth = sec.get(key)
-            elif key == "nsr_ladder":
-                cfg.nsr_ladder = tuple(float(v) for v in sec.get(key).split(",") if v.strip())
-            elif key == "trials":
-                cfg.trials = sec.getint(key)
-            elif key == "methods":
-                cfg.methods = tuple(v.strip() for v in sec.get(key).split(",") if v.strip())
-            elif key == "stop_rule":
-                cfg.stop_rule = sec.get(key)
-            elif key == "tau":
-                cfg.tau = sec.getfloat(key)
-            elif key == "max_iters":
-                cfg.max_iters = sec.getint(key)
-            elif key == "seed_base":
-                cfg.seed_base = sec.getint(key)
-            elif key == "output_dir":
-                cfg.output_dir = sec.get(key)
-            else:
+            if key not in schema:
                 raise UsageError(f"unknown config key {key!r}")
+            setattr(cfg, key, _parse_field(schema[key], sec.get(key)))
     except ValueError as exc:
         raise IoError(f"{path}: bad value: {exc}") from exc
     return cfg
@@ -144,20 +141,7 @@ def load_config(path, cfg=None):
 
 def write_config(cfg, path):
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "kernel": cfg.kernel,
-        "m": str(cfg.m),
-        "n": str(cfg.n),
-        "truth": cfg.truth,
-        "nsr_ladder": ",".join(f"{v:g}" for v in cfg.nsr_ladder),
-        "trials": str(cfg.trials),
-        "methods": ",".join(cfg.methods),
-        "stop_rule": cfg.stop_rule,
-        "tau": f"{cfg.tau:g}",
-        "max_iters": str(cfg.max_iters),
-        "seed_base": str(cfg.seed_base),
-        "output_dir": cfg.output_dir,
-    }
+    parser["experiment"] = {f.name: _format_field(f, getattr(cfg, f.name)) for f in fields(cfg)}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -202,7 +186,29 @@ def _make_stop(cfg_dict, problem):
     if cfg_dict["stop_rule"] == "dp":
         return Discrepancy(noise_norm=problem.noise_norm, tau=cfg_dict["tau"],
                            max_iters=cfg_dict["max_iters"])
-    return LCurve(min_iters=10, max_iters=cfg_dict["max_iters"])
+    return LCurve(max_iters=cfg_dict["max_iters"])
+
+
+def run_method(method, linmap, geom, b, stop, **kw):
+    """Solve for b with the named method.
+
+    geom is read only by the weighted methods (not GEOMETRY_FREE_METHODS);
+    stop and the keywords (reorthogonalize, store_iterates) only by the
+    iterative ones. Solvers are looked up by module name at call time.
+    """
+    if method == "iDARR":
+        return idarr_solve(geom, b, stop, **kw)
+    if method == "IR-L2":
+        return irL2_solve(geom, b, stop, **kw)
+    if method == "IR-l2":
+        return irl2_solve(linmap, b, stop, **kw)
+    if method == "DARTR":
+        return dartr_solve(linmap, geom.rho, b)
+    if method == "L2-direct":
+        return tikhonov_direct(linmap, b, weights=geom.rho)
+    if method == "l2-direct":
+        return tikhonov_direct(linmap, b)
+    raise UsageError(f"unknown method {method!r}; choose from {list(ALL_METHODS)}")
 
 
 def run_bench_row(task):
@@ -212,40 +218,27 @@ def run_bench_row(task):
     problem = add_noise(clean_problem(setup, x_true), task["nsr"], task["seed"])
     method = task["method"]
     geom = problem.geom
-    b = problem.b
-    extras = {}
+    iterative = method in ITERATIVE_METHODS
+    stop = _make_stop(task, problem) if iterative else None
     t0 = time.perf_counter()
-    if method in ITERATIVE_METHODS:
-        stop = _make_stop(task, problem)
-        solver = {"iDARR": idarr_solve, "IR-L2": irL2_solve}.get(method)
-        if solver is not None:
-            result = solver(geom, b, stop)
-        else:
-            result = irl2_solve(problem.linmap, b, stop)
-        elapsed = time.perf_counter() - t0
-        x = result.x
+    result = run_method(method, problem.linmap, geom, problem.b, stop)
+    elapsed = time.perf_counter() - t0
+    x = result.x
+    extras = {}
+    if iterative:
         k_stop = result.k_stop
         residuals = [rec.residual for rec in result.history]
         k_dp = dp_stop(residuals, problem.noise_norm, task["tau"])
-        if isinstance(stop, LCurve):
+        if task["stop_rule"] == "lcurve":
             extras = {"k_lcurve": k_stop, "k_dp": k_dp,
                       "weak_corner": int(result.weak_corner)}
         else:
             extras = {"k_lcurve": "", "k_dp": k_dp, "weak_corner": ""}
     else:
-        entries = problem.linmap.as_dense()
-        if method == "DARTR":
-            result = dartr_solve(entries, geom.rho, b)
-        elif method == "L2-direct":
-            result = tikhonov_direct(entries, b, weights=geom.rho)
-        else:
-            result = tikhonov_direct(entries, b)
-        elapsed = time.perf_counter() - t0
-        x = result.x
         k_stop = result.corner_index + 1
     err = l2rho_error(geom, x, x_true)
     truth_norm = geom.weighted_norm(x_true)
-    res = problem.linmap.apply(x) - b
+    res = problem.linmap.apply(x) - problem.b
     row = {
         "method": method,
         "nsr": f"{task['nsr']:g}",
@@ -284,15 +277,11 @@ def cmd_fredholm_bench(args):
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    for name in ("kernel", "m", "n", "truth", "trials", "stop_rule", "tau",
-                 "max_iters", "seed_base", "output_dir"):
-        value = getattr(args, name, None)
+    for f in fields(cfg):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, name, value)
-    if args.nsr_ladder is not None:
-        cfg.nsr_ladder = tuple(float(v) for v in args.nsr_ladder.split(",") if v.strip())
-    if args.methods is not None:
-        cfg.methods = tuple(v.strip() for v in args.methods.split(",") if v.strip())
+            # argparse has typed the scalars; the lists arrive as text
+            setattr(cfg, f.name, _parse_field(f, value) if f.type is tuple else value)
     _validate_config(cfg)
 
     tasks = []
@@ -452,16 +441,9 @@ def cmd_deblur(args):
         # bad synthetic-image kind, unparsable psf width, negative ratio ...
         raise UsageError(str(exc)) from exc
     side = problem.linmap.side
-    stop = LCurve(min_iters=10, max_iters=args.max_iters)
+    stop = LCurve(max_iters=args.max_iters)
     t0 = time.perf_counter()
-    if args.method == "iDARR":
-        result = idarr_solve(problem.geom, problem.b, stop, store_iterates=True)
-    elif args.method == "IR-l2":
-        result = irl2_solve(problem.linmap, problem.b, stop, store_iterates=True)
-    elif args.method == "IR-L2":
-        result = irL2_solve(problem.geom, problem.b, stop, store_iterates=True)
-    else:
-        raise UsageError(f"deblur supports iterative methods only, got {args.method!r}")
+    result = run_method(args.method, problem.linmap, problem.geom, problem.b, stop)
     elapsed = time.perf_counter() - t0
     os.makedirs(args.output_dir, exist_ok=True)
     write_pgm(os.path.join(args.output_dir, "blurred.pgm"),
@@ -502,7 +484,7 @@ def cmd_deblur(args):
 
 def _parse_stop_flag(spec, max_iters):
     if spec == "lcurve":
-        return LCurve(min_iters=10, max_iters=max(max_iters, 10))
+        return LCurve(max_iters=max(max_iters, 10))
     if spec.startswith("dp:"):
         parts = spec.split(":")
         try:
@@ -522,37 +504,33 @@ def _parse_stop_flag(spec, max_iters):
     raise UsageError(f"unknown stop rule {spec!r}")
 
 
+def _read_data(path, rows):
+    """The data vector at path, checked to be finite and of length rows."""
+    b = read_array(path)
+    if b.shape != (rows,):
+        raise IoError(f"{path}: expected a vector of length {rows}, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise IoError(f"{path}: data vector has non-finite entries")
+    return b
+
+
 def cmd_solve(args):
     linmap = load_operator(args.operator)
-    b = read_array(args.data)
-    if b.ndim != 1:
-        raise IoError(f"{args.data}: expected a vector, got shape {b.shape}")
+    b = _read_data(args.data, linmap.rows)
     method = args.method
     t0 = time.perf_counter()
-    if method in ("iDARR", "IR-L2", "L2-direct", "DARTR"):
-        geom = RkhsGeometry(linmap, compute_exploration_weights(linmap))
-    if method in ITERATIVE_METHODS:
-        stop = _parse_stop_flag(args.stop, args.max_iters)
-        if method == "iDARR":
-            result = idarr_solve(geom, b, stop, reorthogonalize=args.reorthogonalize)
-        elif method == "IR-L2":
-            result = irL2_solve(geom, b, stop, reorthogonalize=args.reorthogonalize)
-        else:
-            result = irl2_solve(linmap, b, stop, reorthogonalize=args.reorthogonalize)
-        x = result.x
+    geom = (None if method in GEOMETRY_FREE_METHODS
+            else RkhsGeometry(linmap, compute_exploration_weights(linmap)))
+    iterative = method in ITERATIVE_METHODS
+    stop = _parse_stop_flag(args.stop, args.max_iters) if iterative else None
+    result = run_method(method, linmap, geom, b, stop, reorthogonalize=args.reorthogonalize)
+    if iterative:
         note = (f"k_stop={result.k_stop} residual={result.residual:.6g} "
                 f"converged={result.converged}")
     else:
-        if method == "DARTR":
-            result = dartr_solve(linmap, geom.rho, b)
-        elif method == "L2-direct":
-            result = tikhonov_direct(linmap, b, weights=geom.rho)
-        else:
-            result = tikhonov_direct(linmap, b)
-        x = result.x
         note = f"lambda={result.lam:.6g} corner_index={result.corner_index}"
     elapsed = time.perf_counter() - t0
-    write_array(args.out, x)
+    write_array(args.out, result.x)
     print(f"method={method} {note} elapsed_ms={elapsed * 1e3:.1f} -> {args.out}")
     return 0
 
@@ -605,7 +583,7 @@ def _oracle_residual_identity(rng, m, n):
     linmap = DenseMap(a)
     geom = RkhsGeometry(linmap, compute_exploration_weights(linmap))
     b = rng.standard_normal(m)
-    result = idarr_solve(geom, b, FixedIters(min(n, 15)), store_iterates=True)
+    result = run_method("iDARR", linmap, geom, b, FixedIters(min(n, 15)), store_iterates=True)
     worst = 0.0
     for rec, x_k in zip(result.history, result.iterates):
         actual = np.linalg.norm(linmap.apply(x_k) - b)
@@ -639,8 +617,8 @@ def _restricted_oracle(linmap, geom, b):
 
 def _oracle_terminal(rng, m, n, rank):
     linmap, geom, b = _rank_deficient_instance(rng, m, n, rank)
-    result = idarr_solve(geom, b, FixedIters(n + 5), reorthogonalize=True,
-                         store_iterates=True)
+    result = run_method("iDARR", linmap, geom, b, FixedIters(n + 5), reorthogonalize=True,
+                        store_iterates=True)
     x_star = _restricted_oracle(linmap, geom, b)
     return float(np.linalg.norm(result.x - x_star) / np.linalg.norm(x_star))
 
@@ -650,8 +628,8 @@ def _oracle_uniqueness(rng, m, n, rank):
 
     linmap, geom, b = _rank_deficient_instance(rng, m, n, rank)
     k = max(rank - 2, 1)
-    result = idarr_solve(geom, b, FixedIters(k), reorthogonalize=True,
-                         store_iterates=True)
+    result = run_method("iDARR", linmap, geom, b, FixedIters(k), reorthogonalize=True,
+                        store_iterates=True)
     factors = run_bidiag(geom, b, k, reorthogonalize=True)
     z = np.column_stack(factors.Z[:k])
     mix = rng.standard_normal((k, k)) + 3.0 * np.eye(k)

@@ -257,25 +257,6 @@ def gaussian_psf(width, radius=None):
     return psf / psf.sum()
 
 
-def operator_norm_estimate(linmap, n_iters=10, seed=0):
-    """Spectral norm estimate by power iteration on the normal operator."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(linmap.cols)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(int(n_iters)):
-        w = linmap.apply_adjoint(linmap.apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        est = np.sqrt(nw)
-        v = w / nw
-    return est
-
-
 def read_pgm(path):
     """Read an 8-bit binary graymap into a uint8 array of shape (height, width)."""
     try:

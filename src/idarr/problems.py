@@ -287,8 +287,3 @@ def load_problem(dirpath):
         seed=meta.get("seed"),
     )
 
-
-def total_variation(img):
-    """Sum of absolute horizontal and vertical first differences."""
-    img = np.asarray(img, dtype=np.float64)
-    return float(np.abs(np.diff(img, axis=0)).sum() + np.abs(np.diff(img, axis=1)).sum())

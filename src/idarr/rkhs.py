@@ -20,6 +20,7 @@ from .errors import DegenerateColumnError, DimensionError, GeometryError, Trivia
 from .linops import LinearMap
 
 _LOG_FLOOR = 1e-300  # clamp before taking logs so zero residuals stay finite
+N_LAMBDAS = 64  # points on the regularization-strength ladder of the direct solvers
 
 
 def compute_exploration_weights(linmap):
@@ -55,15 +56,8 @@ class RkhsGeometry:
         # of 1 recover the plain Euclidean metric); normalization to a
         # probability vector is the job of compute_exploration_weights.
 
-    def apply_b(self, v):
-        return self.rho * v
-
     def solve_b(self, v):
         return v / self.rho
-
-    def b_matrix(self):
-        """Dense diagonal weight matrix; intended for oracle-scale problems only."""
-        return np.diag(self.rho)
 
     def apply_crkhs_pinv(self, p):
         """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix."""
@@ -164,7 +158,7 @@ def _select_corner(residual_sq, penalty_sq):
     return lcurve_corner(pts)
 
 
-def _lambda_grid(lam_max, lam_min, count=64):
+def _lambda_grid(lam_max, lam_min):
     # The ladder spans the spectrum and extends a few decades below its
     # smallest positive value: for well-conditioned systems the best
     # strength sits far under the smallest eigenvalue (the noiseless
@@ -173,10 +167,10 @@ def _lambda_grid(lam_max, lam_min, count=64):
     # floor keeps the ladder finite when the spectrum is numerically
     # rank-deficient.
     lo = max(1e-4 * lam_min, 1e-14 * lam_max)
-    return np.geomspace(lam_max, lo, int(count))
+    return np.geomspace(lam_max, lo, N_LAMBDAS)
 
 
-def dartr_solve(linmap, rho, b, n_lambdas=64, keep_path=False):
+def dartr_solve(linmap, rho, b, keep_path=False):
     """Direct adaptive-norm regularization over a spectral coordinate ladder.
 
     Transforms the penalized normal equations with the square-root factor
@@ -203,7 +197,7 @@ def dartr_solve(linmap, rho, b, n_lambdas=64, keep_path=False):
     mu, q = np.linalg.eigh(0.5 * (gram_t + gram_t.T))
     mu = np.maximum(mu, 0.0)
     g = q.T @ rhs_t
-    lambdas = _lambda_grid(decomp.lambdas[0], decomp.lambdas[r - 1], n_lambdas)
+    lambdas = _lambda_grid(decomp.lambdas[0], decomp.lambdas[r - 1])
     residual_sq = np.empty(lambdas.shape[0])
     penalty_sq = np.empty(lambdas.shape[0])
     path = np.empty((lambdas.shape[0], a.shape[1])) if keep_path else None
@@ -230,7 +224,7 @@ def dartr_solve(linmap, rho, b, n_lambdas=64, keep_path=False):
     )
 
 
-def tikhonov_direct(linmap, b, weights=None, n_lambdas=64, keep_path=False):
+def tikhonov_direct(linmap, b, weights=None, keep_path=False):
     """Classical regularized least squares with a diagonal penalty.
 
     weights None penalizes the plain squared norm; a positive weight vector
@@ -256,7 +250,7 @@ def tikhonov_direct(linmap, b, weights=None, n_lambdas=64, keep_path=False):
     lam_max = sig[0] ** 2 if sig.size else 0.0
     if lam_max == 0.0:
         raise TrivialDataError("operator is identically zero")
-    lambdas = _lambda_grid(lam_max, sig[-1] ** 2 if sig[-1] > 0 else 0.0, n_lambdas)
+    lambdas = _lambda_grid(lam_max, sig[-1] ** 2 if sig[-1] > 0 else 0.0)
     bsq = float(b @ b)
     ub_sq = float(ub @ ub)
     residual_sq = np.empty(lambdas.shape[0])

@@ -11,7 +11,7 @@ terminal solution, which is exactly what the rules are there to prevent.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,36 @@ _LOG_FLOOR = 1e-300
 # -- stopping rules ----------------------------------------------------------
 
 
+class StoppingRule:
+    """The whole stopping policy of an iterative solve.
+
+    budget is the most iterations to run; reached(residual) ends the run
+    early after a step; needs_iterates asks the solver to keep every
+    iterate; select(history, terminated) picks (k_stop, converged,
+    weak_corner) from the finished run's history.
+    """
+
+    needs_iterates = False
+
+    @property
+    def budget(self):
+        return self.max_iters
+
+    def reached(self, residual):
+        return False
+
+
 @dataclass(frozen=True)
-class LCurve:
-    """Run to max_iters (at least min_iters) and return the corner iterate."""
+class LCurve(StoppingRule):
+    """Run to max_iters and return the corner iterate.
+
+    min_iters is validated (at least 10, at most max_iters) but does not
+    change the run: the budget is max_iters.
+    """
 
     min_iters: int = 10
     max_iters: int = 30
+    needs_iterates = True
 
     def __post_init__(self):
         if self.min_iters < 10:
@@ -38,9 +62,19 @@ class LCurve:
         if self.max_iters < self.min_iters:
             raise ValueError("max_iters must be at least min_iters")
 
+    def select(self, history, terminated):
+        if len(history) < 3:
+            return len(history), True, True
+        pts = [
+            (np.log(max(rec.residual, _LOG_FLOOR)), np.log(max(rec.penalty_norm, _LOG_FLOOR)))
+            for rec in history
+        ]
+        idx, weak = lcurve_corner(pts)
+        return history[idx].k, True, weak
+
 
 @dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(StoppingRule):
     """Stop at the first residual at or below tau * noise_norm."""
 
     noise_norm: float
@@ -53,9 +87,17 @@ class Discrepancy:
         if self.noise_norm < 0:
             raise ValueError("noise_norm must be nonnegative")
 
+    def reached(self, residual):
+        return residual <= self.tau * self.noise_norm
+
+    def select(self, history, terminated):
+        # a run ended by exhaustion reaches the true residual floor; it is
+        # converged only if that floor meets the threshold
+        return len(history), bool(history and self.reached(history[-1].residual)), False
+
 
 @dataclass(frozen=True)
-class FixedIters:
+class FixedIters(StoppingRule):
     """Run exactly k iterations (fewer only on subspace exhaustion)."""
 
     k: int
@@ -63,6 +105,13 @@ class FixedIters:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("iteration count must be positive")
+
+    @property
+    def budget(self):
+        return self.k
+
+    def select(self, history, terminated):
+        return len(history), len(history) == self.k or terminated, False
 
 
 # -- corner and discrepancy selection ----------------------------------------
@@ -239,6 +288,7 @@ class SolveResult:
     exhaustion step when the factorization terminated, else None. converged
     is False when the rule was never satisfied within the iteration budget;
     weak_corner marks a corner chosen from near-collinear history.
+    data_norm is ||b||, the residual of the zero iterate (k_stop 0).
     """
 
     x: np.ndarray
@@ -249,34 +299,21 @@ class SolveResult:
     k_t: int | None
     converged: bool
     weak_corner: bool = False
+    data_norm: float | None = None
 
     @property
     def residual(self):
-        return self.history[self.k_stop - 1].residual if self.k_stop else None
+        return self.history[self.k_stop - 1].residual if self.k_stop else self.data_norm
 
     @property
     def penalty_norm(self):
         return self.history[self.k_stop - 1].penalty_norm if self.k_stop else None
 
 
-def _resolve_budget(stop):
-    if isinstance(stop, LCurve):
-        return stop.max_iters
-    if isinstance(stop, FixedIters):
-        return stop.k
-    if isinstance(stop, Discrepancy):
-        return stop.max_iters
-    raise TypeError(f"unknown stopping rule {stop!r}")
-
-
 def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=None):
-    if isinstance(stop, LCurve):
-        if store_iterates is False:
-            raise ValueError("corner selection needs retained iterates")
-        store_iterates = True
-    elif store_iterates is None:
-        store_iterates = False
-    budget = _resolve_budget(stop)
+    if store_iterates is False and stop.needs_iterates:
+        raise ValueError(f"{type(stop).__name__} selection needs retained iterates")
+    store_iterates = bool(store_iterates) or stop.needs_iterates
     t0 = time.perf_counter()
     proc = BidiagProcess(linmap, b, pinv_apply=pinv_apply, reorthogonalize=reorthogonalize)
     if proc.terminated:
@@ -290,61 +327,25 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
             terminated=True,
             k_t=0,
             converged=True,
+            data_norm=proc.beta1,
         )
     state = UpdateState(proc.alpha1, proc.beta1, proc.z, proc.zbar)
     history = []
     iterates = [] if store_iterates else None
-    stopped_at = None
-    converged = False
-    while state.steps < budget:
+    while state.steps < stop.budget:
         step = proc.advance()
         residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
-        k = state.steps
         history.append(
-            IterationRecord(k, float(residual), float(np.sqrt(norm_sq)),
+            IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq)),
                             time.perf_counter() - t0)
         )
         if store_iterates:
             iterates.append(state.x.copy())
-        if step.terminated:
-            break
-        if isinstance(stop, Discrepancy) and residual <= stop.tau * stop.noise_norm:
-            stopped_at = k
-            converged = True
+        if step.terminated or stop.reached(residual):
             break
 
-    k_last = state.steps
-    weak = False
-    if isinstance(stop, Discrepancy):
-        if stopped_at is not None:
-            k_stop = stopped_at
-        else:
-            k_stop = k_last
-            # exhaustion reaches the true residual floor; call that converged
-            # only if it actually meets the threshold
-            converged = bool(history and history[-1].residual <= stop.tau * stop.noise_norm)
-    elif isinstance(stop, FixedIters):
-        k_stop = k_last
-        converged = k_last == stop.k or proc.terminated
-    else:
-        if len(history) >= 3:
-            pts = [
-                (np.log(max(rec.residual, _LOG_FLOOR)),
-                 np.log(max(rec.penalty_norm, _LOG_FLOOR)))
-                for rec in history
-            ]
-            idx, weak = lcurve_corner(pts)
-            k_stop = history[idx].k
-        else:
-            k_stop = k_last
-            weak = True
-        converged = True
-
-    if store_iterates and 1 <= k_stop <= len(iterates):
-        x = iterates[k_stop - 1].copy()
-    else:
-        x = state.x.copy()
-        k_stop = k_last
+    k_stop, converged, weak = stop.select(history, proc.terminated)
+    x = iterates[k_stop - 1].copy() if k_stop < state.steps else state.x.copy()
     return SolveResult(
         x=x,
         k_stop=k_stop,
@@ -354,6 +355,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
         k_t=proc.k_t,
         converged=converged,
         weak_corner=weak,
+        data_norm=proc.beta1,
     )
 
 

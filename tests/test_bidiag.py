@@ -161,6 +161,20 @@ class TestTermination:
             BidiagProcess(DenseMap(TOY_A), np.array([1.0, 0.0]),
                           pinv_apply=lambda p: -p)
 
+    def test_non_finite_values_raise_breakdown(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericalBreakdownError):
+                BidiagProcess(DenseMap(TOY_A), np.array([bad, 1.0]))
+        calls = []
+
+        def pinv(p):  # finite on the first call, NaN from the second on
+            calls.append(p)
+            return p if len(calls) == 1 else p * np.nan
+
+        proc = BidiagProcess(DenseMap(TOY_A), np.array([1.0, 1.0]), pinv_apply=pinv)
+        with pytest.raises(NumericalBreakdownError):
+            proc.advance()
+
 
 class TestRecurrenceIdentities:
     def test_coupling_matrix_identity(self, rng):

@@ -19,6 +19,7 @@ from idarr import (
     write_array,
 )
 from idarr.cli import (
+    ITERATIVE_METHODS,
     ExperimentConfig,
     load_config,
     main,
@@ -107,6 +108,46 @@ class TestSolveCommand:
         write_array(str(data), np.zeros(12))
         assert main(["solve", "--operator", desc, "--data", str(data),
                      "--stop", "fixed:3", "--out", str(tmp_path / "x.bin")]) == 3
+
+    @pytest.mark.parametrize("method", ["iDARR", "DARTR"])
+    @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+    def test_malformed_data_vector_is_io_error(self, dense_instance, tmp_path, method, bad):
+        desc, _, _, b = dense_instance
+        b = b[:-1] if bad == "short" else np.where(np.arange(b.size) == 3, float(bad), b)
+        data = tmp_path / "bad.bin"
+        write_array(str(data), b)
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", str(data),
+                     "--method", method, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ITERATIVE_METHODS)
+    def test_data_orthogonal_to_range_gives_zero(self, tmp_path, rng, capsys, method):
+        # the operator only reaches the first half of the data space
+        a = np.vstack([rng.standard_normal((6, 4)), np.zeros((6, 4))])
+        desc = save_operator(DenseMap(a), str(tmp_path))
+        b = np.concatenate([np.zeros(6), rng.standard_normal(6)])
+        data = tmp_path / "b.bin"
+        write_array(str(data), b)
+        out = str(tmp_path / "x.bin")
+        assert main(["solve", "--operator", desc, "--data", str(data),
+                     "--method", method, "--out", out]) == 0
+        np.testing.assert_array_equal(read_array(out), np.zeros(4))
+        printed = capsys.readouterr().out
+        assert f"k_stop=0 residual={np.linalg.norm(b):.6g} converged=True" in printed
+
+    @pytest.mark.parametrize("method, code", [
+        ("IR-l2", 0), ("l2-direct", 0), ("iDARR", 3), ("DARTR", 3),
+    ])
+    def test_zero_column_needs_exploration_weights(self, tmp_path, rng, method, code):
+        # only the weighted methods need every column explored
+        a = rng.standard_normal((12, 6))
+        a[:, 2] = 0.0
+        desc = save_operator(DenseMap(a), str(tmp_path))
+        data = tmp_path / "b.bin"
+        write_array(str(data), rng.standard_normal(12))
+        assert main(["solve", "--operator", desc, "--data", str(data), "--method", method,
+                     "--stop", "fixed:3", "--out", str(tmp_path / "x.bin")]) == code
 
 
 class TestBenchCommand:

@@ -14,7 +14,6 @@ from idarr.linops import (
     build_fredholm_map,
     exp_decay_kernel,
     gaussian_psf,
-    operator_norm_estimate,
     poly_decay_kernel,
     read_pgm,
     read_psf_text,
@@ -179,14 +178,6 @@ class TestFredholmAssembly:
         sv = np.linalg.svd(poly_setup.linmap.as_dense(), compute_uv=False)
         assert sv[10] / sv[0] > 1e-3
         assert sv[19] / sv[9] > 0.1
-
-
-class TestOperatorNormEstimate:
-    def test_close_to_spectral_norm(self, rng):
-        a = rng.standard_normal((30, 20))
-        est = operator_norm_estimate(DenseMap(a))
-        true = np.linalg.norm(a, 2)
-        assert 0.8 * true <= est <= 1.0000001 * true
 
 
 class TestImageIo:

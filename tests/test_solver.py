@@ -154,7 +154,8 @@ class TestUpdateRecursion:
         result = idarr_solve(geom, np.array([0.0, 1.0]), FixedIters(5))
         np.testing.assert_array_equal(result.x, [0.0, 0.0])
         assert result.k_stop == 0 and result.k_t == 0
-        assert result.residual is None and result.penalty_norm is None
+        # the zero iterate's residual is the data norm beta_1
+        assert result.residual == 1.0 and result.penalty_norm is None
 
 
 class TestCornerDetector:
