@@ -279,9 +279,15 @@ def cmd_fredholm_bench(args):
         cfg = load_config(args.config, cfg)
     for f in fields(cfg):
         value = getattr(args, f.name)
-        if value is not None:
+        if value is None:
+            continue
+        if f.type is tuple:
             # argparse has typed the scalars; the lists arrive as text
-            setattr(cfg, f.name, _parse_field(f, value) if f.type is tuple else value)
+            try:
+                value = _parse_field(f, value)
+            except ValueError as exc:
+                raise UsageError(f"bad {f.name} {value!r}: {exc}") from None
+        setattr(cfg, f.name, value)
     _validate_config(cfg)
 
     tasks = []
@@ -405,8 +411,9 @@ def run_timing_sweep(n_ladder, m=500, k_fixed=10, replicas=25, seed=0):
 
 
 def cmd_timing(args):
-    if args.k_fixed <= 0:
-        raise UsageError(f"k-fixed must be positive, got {args.k_fixed}")
+    for flag, value in (("k-fixed", args.k_fixed), ("replicas", args.replicas), ("m", args.m)):
+        if value <= 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
     try:
         ladder = [int(v) for v in args.n_ladder.split(",") if v.strip()]
     except ValueError:
@@ -437,11 +444,12 @@ def cmd_timing(args):
 def cmd_deblur(args):
     try:
         problem = make_deblur(args.image, psf=args.psf, nsr=args.nsr, seed=args.seed)
+        stop = LCurve(max_iters=args.max_iters)
     except ValueError as exc:
-        # bad synthetic-image kind, unparsable psf width, negative ratio ...
+        # bad synthetic-image kind, unparsable psf width, negative ratio,
+        # too short an iteration budget ...
         raise UsageError(str(exc)) from exc
     side = problem.linmap.side
-    stop = LCurve(max_iters=args.max_iters)
     t0 = time.perf_counter()
     result = run_method(args.method, problem.linmap, problem.geom, problem.b, stop)
     elapsed = time.perf_counter() - t0

@@ -191,9 +191,8 @@ def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
         linmap=linmap, geom=geom, x_true=x_true, b_clean=b_clean, b=b_clean.copy(),
         sigma=0.0, dt=1.0 / linmap.rows, nsr=0.0, seed=None,
     )
-    if nsr > 0:
-        return add_noise(base, nsr, seed)
-    return base
+    # add_noise rejects a negative ratio; only an exact zero skips the noise
+    return add_noise(base, nsr, seed) if nsr != 0 else base
 
 
 # -- serialization -----------------------------------------------------------

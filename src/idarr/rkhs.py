@@ -12,7 +12,7 @@ eigendecomposition, norm evaluation, regularized direct solves) serve both
 as baselines and as oracles for the iterative solver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,7 +132,11 @@ def rkhs_norm_sq(decomp, rho, x):
 
 @dataclass
 class DirectResult:
-    """Solution path of a regularized direct solve with its selected point."""
+    """Solution path of a regularized direct solve with its selected point.
+
+    path[j] is the solution at strength lambdas[j]; x is a copy of
+    path[corner_index], so keeping x alone does not keep the path alive.
+    """
 
     x: np.ndarray
     lam: float
@@ -140,8 +144,8 @@ class DirectResult:
     lambdas: np.ndarray
     residual_sq: np.ndarray
     penalty_sq: np.ndarray
+    path: np.ndarray = field(repr=False)
     weak_corner: bool = False
-    path: np.ndarray | None = field(default=None, repr=False)
 
 
 def _select_corner(residual_sq, penalty_sq):
@@ -170,61 +174,72 @@ def _lambda_grid(lam_max, lam_min):
     return np.geomspace(lam_max, lo, N_LAMBDAS)
 
 
-def dartr_solve(linmap, rho, b, keep_path=False):
+def _dense_problem(linmap, b):
+    b = np.asarray(b, dtype=np.float64)
+    if np.linalg.norm(b) == 0:
+        raise TrivialDataError("data vector is identically zero")
+    a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
+    return a, b
+
+
+def _ridge_path(k, b, ladder):
+    """Corner-selected ridge path of min ||k y - b||^2 + lam ||y||^2.
+
+    k is the operator in standard form, k = A T for the change of variables
+    x = T y that turns the method's penalty into the plain squared norm.
+    One eigendecomposition of k^T k serves the whole ladder; ladder maps its
+    eigenvalues (ascending, clamped at zero) to the strengths to sweep, and
+    every strength is evaluated at once as a (ladder x rank) array. The
+    result's path and x are in y coordinates; the caller maps them to x.
+    """
+    gram = k.T @ k
+    mu, q = np.linalg.eigh(0.5 * (gram + gram.T))
+    mu = np.maximum(mu, 0.0)
+    if mu[-1] == 0.0:
+        raise TrivialDataError("operator is identically zero")
+    lambdas = ladder(mu)
+    g = q.T @ (k.T @ b)
+    path = (g / (mu + lambdas[:, None])) @ q.T
+    res = path @ k.T - b
+    residual_sq = np.einsum("ij,ij->i", res, res)
+    penalty_sq = np.einsum("ij,ij->i", path, path)
+    corner, weak = _select_corner(residual_sq, penalty_sq)
+    return DirectResult(
+        x=path[corner],
+        lam=float(lambdas[corner]),
+        corner_index=int(corner),
+        lambdas=lambdas,
+        residual_sq=residual_sq,
+        penalty_sq=penalty_sq,
+        path=path,
+        weak_corner=weak,
+    )
+
+
+def dartr_solve(linmap, rho, b):
     """Direct adaptive-norm regularization over a spectral coordinate ladder.
 
     Transforms the penalized normal equations with the square-root factor
     C_* = V Lam^(1/2) restricted to the numerical rank, where the penalty
     becomes the plain squared norm, sweeps a logarithmic ladder of
-    regularization strengths spanning the eigenvalue range, and picks the
-    strength at the corner of the (log residual^2, log penalty^2) curve.
+    regularization strengths spanning the generalized eigenvalue range, and
+    picks the strength at the corner of the (log residual^2, log penalty^2)
+    curve.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if np.linalg.norm(b) == 0:
-        raise TrivialDataError("data vector is identically zero")
-    a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
+    a, b = _dense_problem(linmap, b)
     rho = np.asarray(rho, dtype=np.float64)
     decomp = generalized_eig(a.T @ a, rho)
     r = decomp.rank
     if r == 0:
         raise TrivialDataError("operator has numerical rank zero")
     cstar = decomp.V[:, :r] * np.sqrt(decomp.lambdas[:r])[None, :]
-    acs = a @ cstar
-    gram_t = acs.T @ acs
-    rhs_t = acs.T @ b
-    # one eigendecomposition of the transformed gram matrix makes every
-    # ladder point an O(r^2) solve
-    mu, q = np.linalg.eigh(0.5 * (gram_t + gram_t.T))
-    mu = np.maximum(mu, 0.0)
-    g = q.T @ rhs_t
     lambdas = _lambda_grid(decomp.lambdas[0], decomp.lambdas[r - 1])
-    residual_sq = np.empty(lambdas.shape[0])
-    penalty_sq = np.empty(lambdas.shape[0])
-    path = np.empty((lambdas.shape[0], a.shape[1])) if keep_path else None
-    for j, lam in enumerate(lambdas):
-        y = q @ (g / (mu + lam))
-        res = acs @ y - b
-        residual_sq[j] = res @ res
-        penalty_sq[j] = y @ y
-        if keep_path:
-            path[j] = cstar @ y
-    # re-solve at the corner only, to avoid storing the full path by default
-    corner, weak = _select_corner(residual_sq, penalty_sq)
-    y = q @ (g / (mu + lambdas[corner]))
-    x = cstar @ y
-    return DirectResult(
-        x=x,
-        lam=float(lambdas[corner]),
-        corner_index=int(corner),
-        lambdas=lambdas,
-        residual_sq=residual_sq,
-        penalty_sq=penalty_sq,
-        weak_corner=weak,
-        path=path,
-    )
+    result = _ridge_path(a @ cstar, b, lambda mu: lambdas)
+    path = result.path @ cstar.T
+    return replace(result, x=path[result.corner_index].copy(), path=path)
 
 
-def tikhonov_direct(linmap, b, weights=None, keep_path=False):
+def tikhonov_direct(linmap, b, weights=None):
     """Classical regularized least squares with a diagonal penalty.
 
     weights None penalizes the plain squared norm; a positive weight vector
@@ -232,50 +247,13 @@ def tikhonov_direct(linmap, b, weights=None, keep_path=False):
     singular value range of the (column-scaled) operator and the returned
     point is the corner of the (log residual^2, log penalty^2) curve.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if np.linalg.norm(b) == 0:
-        raise TrivialDataError("data vector is identically zero")
-    a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights <= 0):
-            raise GeometryError("penalty weights must be strictly positive")
-        scale = 1.0 / np.sqrt(weights)
-        a_s = a * scale[None, :]
-    else:
-        scale = None
-        a_s = a
-    u, sig, vt = np.linalg.svd(a_s, full_matrices=False)
-    ub = u.T @ b
-    lam_max = sig[0] ** 2 if sig.size else 0.0
-    if lam_max == 0.0:
-        raise TrivialDataError("operator is identically zero")
-    lambdas = _lambda_grid(lam_max, sig[-1] ** 2 if sig[-1] > 0 else 0.0)
-    bsq = float(b @ b)
-    ub_sq = float(ub @ ub)
-    residual_sq = np.empty(lambdas.shape[0])
-    penalty_sq = np.empty(lambdas.shape[0])
-    path = np.empty((lambdas.shape[0], a.shape[1])) if keep_path else None
-    for j, lam in enumerate(lambdas):
-        f = sig / (sig**2 + lam)
-        y = vt.T @ (f * ub)
-        # residual^2 = ||(I - U F Sig) U^T b||^2 + ||b - U U^T b||^2
-        resid_in = ub * (1.0 - sig * f)
-        residual_sq[j] = float(resid_in @ resid_in) + max(bsq - ub_sq, 0.0)
-        penalty_sq[j] = float(y @ y)
-        if keep_path:
-            path[j] = y * scale if scale is not None else y
-    corner, weak = _select_corner(residual_sq, penalty_sq)
-    f = sig / (sig**2 + lambdas[corner])
-    y = vt.T @ (f * ub)
-    x = y * scale if scale is not None else y
-    return DirectResult(
-        x=x,
-        lam=float(lambdas[corner]),
-        corner_index=int(corner),
-        lambdas=lambdas,
-        residual_sq=residual_sq,
-        penalty_sq=penalty_sq,
-        weak_corner=weak,
-        path=path,
-    )
+    a, b = _dense_problem(linmap, b)
+    weights = np.ones(a.shape[1]) if weights is None else np.asarray(weights, np.float64)
+    if np.any(weights <= 0):
+        raise GeometryError("penalty weights must be strictly positive")
+    scale = 1.0 / np.sqrt(weights)
+    # the nonzero squared singular values are the top min(m, n) eigenvalues
+    rank = min(a.shape)
+    result = _ridge_path(a * scale[None, :], b, lambda mu: _lambda_grid(mu[-1], mu[-rank]))
+    path = result.path * scale
+    return replace(result, x=path[result.corner_index].copy(), path=path)

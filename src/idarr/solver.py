@@ -60,7 +60,9 @@ class LCurve(StoppingRule):
         if self.min_iters < 10:
             raise ValueError("corner selection needs at least 10 iterations of history")
         if self.max_iters < self.min_iters:
-            raise ValueError("max_iters must be at least min_iters")
+            raise ValueError(
+                f"max_iters must be at least min_iters ({self.min_iters}), got {self.max_iters}"
+            )
 
     def select(self, history, terminated):
         if len(history) < 3:
@@ -117,18 +119,6 @@ class FixedIters(StoppingRule):
 # -- corner and discrepancy selection ----------------------------------------
 
 
-def _point_at_arc(pts, cum, s):
-    """Point at arc-length position s along the polyline (linear interp)."""
-    s = min(max(s, 0.0), float(cum[-1]))
-    j = int(np.searchsorted(cum, s, side="right")) - 1
-    j = min(max(j, 0), pts.shape[0] - 2)
-    seg = cum[j + 1] - cum[j]
-    if seg <= 0.0:
-        return pts[j]
-    t = (s - cum[j]) / seg
-    return pts[j] + t * (pts[j + 1] - pts[j])
-
-
 def polyline_bends(pts, scale_frac=0.05):
     """Signed curvature of each interior vertex at a fixed arc-length scale.
 
@@ -148,25 +138,27 @@ def polyline_bends(pts, scale_frac=0.05):
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
-    bends = np.zeros(pts.shape[0] - 2)
     if total <= 0.0:
-        return bends
+        return np.zeros(pts.shape[0] - 2)
     h = scale_frac * total
-    for i in range(1, pts.shape[0] - 1):
-        back = _point_at_arc(pts, cum, cum[i] - h)
-        ahead = _point_at_arc(pts, cum, cum[i] + h)
-        d1 = pts[i] - back
-        d2 = ahead - pts[i]
-        a = np.hypot(d1[0], d1[1])
-        b = np.hypot(d2[0], d2[1])
-        chord = ahead - back
-        c = np.hypot(chord[0], chord[1])
-        abc = a * b * c
-        if abc > 0.0:
-            cross = d1[0] * d2[1] - d1[1] * d2[0]
-            # the corner turns clockwise in these coordinates (left, then up)
-            bends[i - 1] = -2.0 * cross / abc
-    return bends
+    here = pts[1:-1]
+    # the stencil points back and ahead of every interior vertex at once,
+    # interpolated along the polyline; a zero-length segment yields its start
+    s = np.clip(np.concatenate((cum[1:-1] - h, cum[1:-1] + h)), 0.0, total)
+    j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, pts.shape[0] - 2)
+    span = cum[j + 1] - cum[j]
+    moving = span > 0.0
+    t = (s - cum[j]) / np.where(moving, span, 1.0)
+    at = np.where(moving[:, None], pts[j] + t[:, None] * (pts[j + 1] - pts[j]), pts[j])
+    back, ahead = np.split(at, 2)
+    d1 = here - back
+    d2 = ahead - here
+    a, b, c = (np.hypot(d[:, 0], d[:, 1]) for d in (d1, d2, ahead - back))
+    abc = a * b * c
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # the corner turns clockwise in these coordinates (left, then up)
+    curved = abc > 0.0
+    return np.where(curved, -2.0 * cross / np.where(curved, abc, 1.0), 0.0)
 
 
 def lcurve_corner(points, scale_frac=0.05, tie_frac=0.8):

@@ -294,6 +294,24 @@ class TestDeblurCommand:
                      "--output-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deblur", "--image", "blobs:16", "--max-iters", "5"],
+        ["deblur", "--image", "blobs:16", "--nsr", "-1"],
+        ["fredholm-bench", "--nsr-ladder", "0.5,abc"],
+        ["timing", "--replicas", "0"],
+        ["timing", "--m", "0"],
+    ],
+    ids=["deblur-short-budget", "deblur-negative-nsr", "bench-bad-ladder",
+         "timing-no-replicas", "timing-empty-grid"],
+)
+def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
 class TestOracleCheckCommand:
     def test_all_properties_pass(self, capsys):
         code = main(["oracle-check", "--m", "25", "--n", "15", "--seed", "3"])

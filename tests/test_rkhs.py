@@ -4,7 +4,9 @@ Closed-form oracles: for the 2x2 operator diag(2, 1) with observation
 (1, 0) the penalized least-squares path is available by hand for every
 penalty convention used here, and the adaptive quadratic form reduces to
 a diagonal matrix whose entries are checked against pencil-and-paper
-values.
+values. On a random well-conditioned problem every ladder point of the
+three direct solvers is checked against a per-strength normal-equations
+solve.
 """
 
 import numpy as np
@@ -221,13 +223,13 @@ class TestDartrSolve:
 
     def test_toy_path_matches_closed_form(self):
         # penalty (x1^2 + x2^2)/9 gives x(lambda) = (2/(4 + lambda/9), 0)
-        result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]), keep_path=True)
+        result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]))
         expected = 2.0 / (4.0 + result.lambdas / 9.0)
         np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
         np.testing.assert_allclose(result.path[:, 1], 0.0, atol=1e-12)
 
     def test_selected_point_lies_on_path(self):
-        result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]), keep_path=True)
+        result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]))
         assert result.lam == result.lambdas[result.corner_index]
         np.testing.assert_allclose(
             result.x, result.path[result.corner_index], rtol=0, atol=1e-15
@@ -268,7 +270,7 @@ class TestDartrSolve:
 class TestTikhonovDirect:
     def test_plain_path_matches_closed_form(self):
         # penalty x1^2 + x2^2 gives x(lambda) = (2/(4 + lambda), 0)
-        result = tikhonov_direct(DenseMap(TOY_A), np.array([1.0, 0.0]), keep_path=True)
+        result = tikhonov_direct(DenseMap(TOY_A), np.array([1.0, 0.0]))
         expected = 2.0 / (4.0 + result.lambdas)
         np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
         np.testing.assert_allclose(result.path[:, 1], 0.0, atol=1e-12)
@@ -277,7 +279,6 @@ class TestTikhonovDirect:
         # penalty 9 x1^2 + x2^2 gives x(lambda) = (2/(4 + 9 lambda), 0)
         result = tikhonov_direct(
             DenseMap(TOY_A), np.array([1.0, 0.0]), weights=np.array([9.0, 1.0]),
-            keep_path=True,
         )
         expected = 2.0 / (4.0 + 9.0 * result.lambdas)
         np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
@@ -286,7 +287,7 @@ class TestTikhonovDirect:
         # tall system: part of b lies outside the operator's column span
         a = rng.standard_normal((8, 2))
         b = rng.standard_normal(8)
-        result = tikhonov_direct(DenseMap(a), b, keep_path=True)
+        result = tikhonov_direct(DenseMap(a), b)
         x = result.path[result.corner_index]
         direct = a @ x - b
         assert result.residual_sq[result.corner_index] == pytest.approx(
@@ -304,3 +305,45 @@ class TestTikhonovDirect:
     def test_zero_operator_rejected(self):
         with pytest.raises(TrivialDataError):
             tikhonov_direct(DenseMap(np.zeros((3, 2))), np.ones(3))
+
+
+class TestDirectLadderReference:
+    """Each ladder point against (A^T A + lam P) x = A^T b, solved directly.
+
+    P is the penalty matrix: B (A^T A)^-1 B for DARTR (the adaptive norm
+    when A has full column rank), diag(rho) for L2-direct and I for
+    l2-direct.
+    """
+
+    @pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])
+    def test_every_point_solves_normal_equations(self, rng, method):
+        a = rng.standard_normal((40, 12))
+        b = rng.standard_normal(40)
+        rho = compute_exploration_weights(DenseMap(a))
+        gram = a.T @ a
+        if method == "DARTR":
+            result = dartr_solve(DenseMap(a), rho, b)
+            penalty = np.diag(rho) @ np.linalg.solve(gram, np.diag(rho))
+        elif method == "L2-direct":
+            result = tikhonov_direct(DenseMap(a), b, weights=rho)
+            penalty = np.diag(rho)
+        else:
+            result = tikhonov_direct(DenseMap(a), b)
+            penalty = np.eye(12)
+        assert result.path.shape == (result.lambdas.size, 12)
+        for j, lam in enumerate(result.lambdas):
+            x = np.linalg.solve(gram + lam * penalty, a.T @ b)
+            assert np.linalg.norm(result.path[j] - x) <= 1e-8 * np.linalg.norm(x)
+            res = a @ x - b
+            assert result.residual_sq[j] == pytest.approx(res @ res, rel=1e-8)
+            assert result.penalty_sq[j] == pytest.approx(x @ penalty @ x, rel=1e-8)
+        assert np.array_equal(result.x, result.path[result.corner_index])
+
+    def test_unit_weights_equal_plain_penalty_bitwise(self, rng):
+        a = rng.standard_normal((30, 10))
+        b = rng.standard_normal(30)
+        weighted = tikhonov_direct(DenseMap(a), b, weights=np.ones(10))
+        plain = tikhonov_direct(DenseMap(a), b)
+        for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+            assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert weighted.corner_index == plain.corner_index

@@ -32,10 +32,47 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
-from idarr.solver import _point_at_arc, polyline_bends
+from idarr.solver import polyline_bends
 
 TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])
+
+
+def _point_at_arc(pts, cum, s):
+    """Point at arc-length position s along the polyline (linear interp)."""
+    s = min(max(s, 0.0), float(cum[-1]))
+    j = int(np.searchsorted(cum, s, side="right")) - 1
+    j = min(max(j, 0), pts.shape[0] - 2)
+    seg = cum[j + 1] - cum[j]
+    if seg <= 0.0:
+        return pts[j]
+    t = (s - cum[j]) / seg
+    return pts[j] + t * (pts[j + 1] - pts[j])
+
+
+def reference_polyline_bends(pts, scale_frac=0.05):
+    """Per-vertex loop that polyline_bends vectorizes; kept as its reference."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    total = float(cum[-1])
+    bends = np.zeros(pts.shape[0] - 2)
+    if total <= 0.0:
+        return bends
+    h = scale_frac * total
+    for i in range(1, pts.shape[0] - 1):
+        back = _point_at_arc(pts, cum, cum[i] - h)
+        ahead = _point_at_arc(pts, cum, cum[i] + h)
+        d1 = pts[i] - back
+        d2 = ahead - pts[i]
+        a = np.hypot(d1[0], d1[1])
+        b = np.hypot(d2[0], d2[1])
+        chord = ahead - back
+        c = np.hypot(chord[0], chord[1])
+        abc = a * b * c
+        if abc > 0.0:
+            cross = d1[0] * d2[1] - d1[1] * d2[0]
+            bends[i - 1] = -2.0 * cross / abc
+    return bends
 
 
 def toy_geom():
@@ -226,6 +263,19 @@ class TestCornerDetector:
                 radius = np.linalg.norm(center - p1)
                 oracle = -np.sign(cross) / radius
             assert bends[i - 1] == pytest.approx(oracle, rel=1e-10, abs=1e-13)
+
+    def test_bends_bitwise_equal_to_per_vertex_loop(self, rng):
+        for trial in range(300):
+            k = int(rng.integers(3, 70))
+            pts = rng.standard_normal((k, 2)) * 10.0 ** rng.uniform(-12, 3)
+            # repeated points give zero-length segments, and an all-equal
+            # curve has no extent at all
+            repeats = rng.random(k) < (0.9 if trial % 50 == 0 else 0.3)
+            for i in np.flatnonzero(repeats[1:]) + 1:
+                pts[i] = pts[i - 1]
+            want = reference_polyline_bends(pts)
+            got = polyline_bends(pts)
+            assert got.tobytes() == want.tobytes(), trial
 
     @settings(max_examples=40, deadline=None)
     @given(
