@@ -87,8 +87,8 @@ def _validate_config(cfg):
         raise UsageError(f"grid sizes must be positive, got m={cfg.m}, n={cfg.n}")
     if cfg.trials <= 0:
         raise UsageError(f"trials must be positive, got {cfg.trials}")
-    if not cfg.nsr_ladder or any(v <= 0 for v in cfg.nsr_ladder):
-        raise UsageError(f"nsr ladder must be positive, got {cfg.nsr_ladder}")
+    if not cfg.nsr_ladder or any(not 0 < v < np.inf for v in cfg.nsr_ladder):
+        raise UsageError(f"nsr ladder must be positive and finite, got {cfg.nsr_ladder}")
     unknown = [m for m in cfg.methods if m not in ALL_METHODS]
     if unknown:
         raise UsageError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
@@ -446,8 +446,8 @@ def cmd_deblur(args):
         problem = make_deblur(args.image, psf=args.psf, nsr=args.nsr, seed=args.seed)
         stop = LCurve(max_iters=args.max_iters)
     except ValueError as exc:
-        # bad synthetic-image kind, unparsable psf width, negative ratio,
-        # too short an iteration budget ...
+        # bad synthetic-image kind, bad or oversized psf width, negative or
+        # non-finite ratio, too short an iteration budget ...
         raise UsageError(str(exc)) from exc
     side = problem.linmap.side
     t0 = time.perf_counter()

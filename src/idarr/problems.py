@@ -14,6 +14,7 @@ from .linops import (
     PsfConvolutionMap,
     build_fredholm_map,
     gaussian_psf,
+    gaussian_radius,
     read_pgm,
     read_psf_text,
     write_psf_text,
@@ -106,8 +107,8 @@ def add_noise(problem, nsr, seed):
     noise norm sigma^2 * dt * m.
     """
     nsr = float(nsr)
-    if nsr < 0:
-        raise ValueError("noise-to-signal ratio must be nonnegative")
+    if not 0 <= nsr < np.inf:
+        raise ValueError(f"noise-to-signal ratio must be nonnegative and finite, got {nsr}")
     sigma = float(np.linalg.norm(problem.b_clean)) * nsr
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(problem.b_clean.shape[0])
@@ -163,15 +164,38 @@ def _resolve_image(image, side=None):
     return img
 
 
-def _resolve_psf(psf):
-    if isinstance(psf, np.ndarray):
-        return np.asarray(psf, dtype=np.float64)
+def _check_psf_size(shape, side):
+    # taps farther than side - 1 pixels from the center never touch the frame
+    if any(k > 2 * side - 1 for k in shape):
+        raise ValueError(
+            f"psf of shape {tuple(shape)} is wider than {2 * side - 1} pixels, "
+            f"the widest kernel a {side}x{side} image can feel"
+        )
+
+
+def _resolve_psf(psf, side):
+    """Kernel for a side x side image from an array, "gaussian[:WIDTH]" or a text grid.
+
+    A bad width or an oversized kernel raises ValueError; a Gaussian is
+    sized before its grid is allocated.
+    """
     if isinstance(psf, str) and psf.startswith("gaussian"):
         _, _, w = psf.partition(":")
-        return gaussian_psf(float(w) if w else 2.0)
-    if isinstance(psf, str):
-        return read_psf_text(psf)
-    raise IoError(f"cannot interpret psf spec {psf!r}")
+        width = float(w) if w else 2.0
+        try:
+            radius = gaussian_radius(width)
+        except GeometryError as exc:
+            raise ValueError(str(exc)) from None
+        _check_psf_size((2 * radius + 1,) * 2, side)
+        return gaussian_psf(width, radius)
+    if isinstance(psf, np.ndarray):
+        kernel = np.asarray(psf, dtype=np.float64)
+    elif isinstance(psf, str):
+        kernel = read_psf_text(psf)
+    else:
+        raise IoError(f"cannot interpret psf spec {psf!r}")
+    _check_psf_size(kernel.shape, side)
+    return kernel
 
 
 def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
@@ -180,10 +204,11 @@ def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
     The observation grid carries unit weight per pixel, so dt = 1/m here
     and the expected noise norm is sigma = nsr * ||b_clean||; nsr is then
     the relative noise magnitude, the usual convention for image data.
+    A kernel wider than 2 * side - 1 pixels raises ValueError.
     """
     img = _resolve_image(image, side)
     n_side = img.shape[0]
-    linmap = PsfConvolutionMap(n_side, _resolve_psf(psf))
+    linmap = PsfConvolutionMap(n_side, _resolve_psf(psf, n_side))
     geom = make_geometry(linmap)
     x_true = img.ravel().astype(np.float64)
     b_clean = linmap.apply(x_true)
@@ -191,7 +216,8 @@ def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
         linmap=linmap, geom=geom, x_true=x_true, b_clean=b_clean, b=b_clean.copy(),
         sigma=0.0, dt=1.0 / linmap.rows, nsr=0.0, seed=None,
     )
-    # add_noise rejects a negative ratio; only an exact zero skips the noise
+    # add_noise rejects a negative or non-finite ratio; only an exact zero
+    # skips the noise
     return add_noise(base, nsr, seed) if nsr != 0 else base
 
 

@@ -302,9 +302,20 @@ class TestDeblurCommand:
         ["fredholm-bench", "--nsr-ladder", "0.5,abc"],
         ["timing", "--replicas", "0"],
         ["timing", "--m", "0"],
+        ["deblur", "--image", "blobs:16", "--psf", "gaussian:inf"],
+        ["deblur", "--image", "blobs:16", "--psf", "gaussian:nan"],
+        ["deblur", "--image", "blobs:16", "--psf", "gaussian:0"],
+        ["deblur", "--image", "blobs:16", "--psf", "gaussian:1e6"],
+        ["deblur", "--image", "blobs:16", "--psf", "gaussian:6"],
+        ["deblur", "--image", "blobs:16", "--nsr", "nan"],
+        ["deblur", "--image", "blobs:16", "--nsr", "inf"],
+        ["fredholm-bench", "--nsr-ladder", "0.5,nan"],
     ],
     ids=["deblur-short-budget", "deblur-negative-nsr", "bench-bad-ladder",
-         "timing-no-replicas", "timing-empty-grid"],
+         "timing-no-replicas", "timing-empty-grid", "deblur-psf-inf",
+         "deblur-psf-nan", "deblur-psf-zero", "deblur-psf-huge",
+         "deblur-psf-wider-than-frame", "deblur-nan-nsr", "deblur-inf-nsr",
+         "bench-nan-ladder"],
 )
 def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1

@@ -117,7 +117,114 @@ class TestPsfConvolution:
         np.testing.assert_allclose(lm.apply(v), dense @ v, atol=1e-12)
 
 
+def reference_shifted_accumulate(psf, img, flip):
+    """One full-image pass per nonzero tap of the whole 2-D kernel."""
+    n = img.shape[0]
+    kp, kq = psf.shape
+    cp, cq = kp // 2, kq // 2
+    out = np.zeros_like(img)
+    for p in range(kp):
+        for q in range(kq):
+            w = psf[p, q]
+            if w == 0.0:
+                continue
+            dp, dq = p - cp, q - cq
+            if flip:
+                dp, dq = -dp, -dq
+            r0, r1 = max(dp, 0), n + min(dp, 0)
+            c0, c1 = max(dq, 0), n + min(dq, 0)
+            if r0 >= r1 or c0 >= c1:
+                continue
+            out[r0:r1, c0:c1] += w * img[r0 - dp:r1 - dp, c0 - dq:c1 - dq]
+    return out
+
+
+def adjoint_as_dense(lm):
+    out = np.empty((lm.cols, lm.rows))
+    e = np.zeros(lm.rows)
+    for i in range(lm.rows):
+        e[i] = 1.0
+        out[:, i] = lm.apply_adjoint(e)
+        e[i] = 0.0
+    return out
+
+
+class TestSeparablePsf:
+    """Rank-1 kernels run as two 1-D passes; others keep the 2-D pass bitwise."""
+
+    RTOL = 1e-13
+
+    def check_against_reference(self, lm, rng):
+        side = lm.side
+        # nonnegative operands: no cancellation, so rtol holds entrywise
+        v = rng.uniform(0.0, 1.0, side * side)
+        w = rng.uniform(0.0, 1.0, side * side)
+        ref_fwd = reference_shifted_accumulate(lm.psf, v.reshape(side, side), False)
+        ref_adj = reference_shifted_accumulate(lm.psf, w.reshape(side, side), True)
+        np.testing.assert_allclose(lm.apply(v), ref_fwd.ravel(), rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(lm.apply_adjoint(w), ref_adj.ravel(), rtol=self.RTOL, atol=0)
+
+    @pytest.mark.parametrize("side", [8, 12, 16, 33])
+    @pytest.mark.parametrize("width", [0.8, 1.5, 2.2, 3.0])
+    def test_gaussian_matches_2d_pass(self, side, width, rng):
+        lm = PsfConvolutionMap(side, gaussian_psf(width))
+        assert [k.shape for k in lm.factors] == [(lm.psf.shape[0], 1), (1, lm.psf.shape[1])]
+        self.check_against_reference(lm, rng)
+
+    @pytest.mark.parametrize("side", [8, 12, 33])
+    @pytest.mark.parametrize("shape", [(4, 7), (6, 6)])
+    def test_asymmetric_outer_product_matches_2d_pass(self, side, shape, rng):
+        a = rng.uniform(0.1, 1.0, shape[0])
+        b = rng.uniform(0.1, 1.0, shape[1])
+        lm = PsfConvolutionMap(side, np.outer(a, b))
+        assert len(lm.factors) == 2
+        self.check_against_reference(lm, rng)
+
+    def test_delta_psf_matches_2d_pass(self, rng):
+        psf = np.zeros((3, 3))
+        psf[1, 1] = 1.0
+        lm = PsfConvolutionMap(12, psf)
+        assert len(lm.factors) == 2
+        self.check_against_reference(lm, rng)
+
+    @pytest.mark.parametrize(
+        "psf,n_factors",
+        [
+            (gaussian_psf(1.3), 2),
+            (np.outer([1.0, 3.0, 2.0, 0.5], [2.0, 1.0, 0.0, 4.0, 1.0]), 2),
+            (np.sqrt(np.arange(25.0)).reshape(5, 5), 1),
+        ],
+    )
+    def test_adjoint_matrix_is_bitwise_transpose(self, psf, n_factors):
+        lm = PsfConvolutionMap(9, psf)
+        assert len(lm.factors) == n_factors
+        np.testing.assert_array_equal(adjoint_as_dense(lm), lm.as_dense().T)
+
+    @pytest.mark.parametrize("kind", ["random", "rank1-off-by-1e-12"])
+    def test_non_separable_psf_is_bitwise_2d_pass(self, kind, rng):
+        if kind == "random":
+            psf = rng.uniform(0.0, 1.0, (5, 5))
+        else:
+            # a rank-1 kernel moved by far more than the 8 eps acceptance bound
+            psf = gaussian_psf(0.8)
+            psf[0, 1] += 1e-12 * psf.max()
+        lm = PsfConvolutionMap(12, psf)
+        assert len(lm.factors) == 1
+        for _ in range(3):
+            v = rng.standard_normal(144)
+            img = v.reshape(12, 12)
+            fwd = reference_shifted_accumulate(lm.psf, img, False).ravel()
+            adj = reference_shifted_accumulate(lm.psf, img, True).ravel()
+            assert lm.apply(v).tobytes() == fwd.tobytes()
+            assert lm.apply_adjoint(v).tobytes() == adj.tobytes()
+
+
 class TestGaussianPsf:
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, 1e308])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(GeometryError):
+            gaussian_psf(width)
+
     def test_unit_sum_and_symmetry(self):
         psf = gaussian_psf(2.0)
         assert abs(psf.sum() - 1.0) <= 1e-12

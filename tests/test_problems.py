@@ -207,6 +207,12 @@ class TestDeblur:
             0.05 * np.linalg.norm(problem.b_clean), rel=1e-14
         )
 
+    def test_psf_at_most_twice_the_side_minus_one_pixels(self):
+        problem = make_deblur("blobs:16", psf="gaussian:5", nsr=0.0)
+        assert problem.linmap.psf.shape == (31, 31)
+        with pytest.raises(ValueError):
+            make_deblur("blobs:16", psf=np.ones((1, 33)), nsr=0.0)
+
     def test_side_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             make_deblur("blobs:16", side=32)
