@@ -14,10 +14,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .arrayio import read_array, write_array
+from .bidiag import run_bidiag
 from .errors import (
     IdarrError,
     IoError,
@@ -36,6 +38,9 @@ from .problems import (
     make_fredholm,
     true_solution,
 )
+from .properties import (gaussian_instance, multiplicity_instance, orthonormality_loss,
+                         rank_deficient_instance, residual_gaps, subspace_deviation,
+                         terminal_deviation)
 from .rkhs import RkhsGeometry, compute_exploration_weights, dartr_solve, tikhonov_direct
 from .solver import Discrepancy, FixedIters, LCurve, dp_stop, idarr_solve, irL2_solve, irl2_solve
 
@@ -94,8 +99,8 @@ def _validate_config(cfg):
         raise UsageError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
     if cfg.stop_rule not in ("lcurve", "dp"):
         raise UsageError(f"stop_rule must be lcurve or dp, got {cfg.stop_rule!r}")
-    if cfg.tau <= 1.0:
-        raise UsageError(f"tau must exceed 1, got {cfg.tau}")
+    if not 1.0 < cfg.tau < np.inf:
+        raise UsageError(f"tau must exceed 1 and be finite, got {cfg.tau}")
     if cfg.max_iters < 10:
         raise UsageError(f"max_iters must be at least 10, got {cfg.max_iters}")
     return cfg
@@ -164,22 +169,14 @@ def _worker_count():
 
 # -- benchmark rows ----------------------------------------------------------
 
-_SETUP_CACHE = {}
-_TRUTH_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _get_setup(kernel, m, n):
-    key = (kernel, m, n)
-    if key not in _SETUP_CACHE:
-        _SETUP_CACHE[key] = make_fredholm(kernel, m, n)
-    return _SETUP_CACHE[key]
+    return make_fredholm(kernel, m, n)
 
 
+@lru_cache(maxsize=None)
 def _get_truth(kernel, m, n, truth):
-    key = (kernel, m, n, truth)
-    if key not in _TRUTH_CACHE:
-        _TRUTH_CACHE[key] = true_solution(_get_setup(kernel, m, n), truth)
-    return _TRUTH_CACHE[key]
+    return true_solution(_get_setup(kernel, m, n), truth)
 
 
 def _make_stop(cfg_dict, problem):
@@ -253,24 +250,16 @@ def run_bench_row(task):
     return row, extras, x
 
 
-def _boxplot_stats(values):
+def _boxplot_row(values):
+    """count, median, q1, q3, whisker_lo, whisker_hi, n_outliers of values."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     q1, med, q3 = np.percentile(v, [25, 50, 75])
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = v[(v >= lo_fence) & (v <= hi_fence)]
-    whisker_lo = float(inside[0]) if inside.size else float(v[0])
-    whisker_hi = float(inside[-1]) if inside.size else float(v[-1])
+    whiskers = (inside if inside.size else v)[[0, -1]]
     n_out = int(np.count_nonzero((v < lo_fence) | (v > hi_fence)))
-    return {
-        "count": int(v.size),
-        "median": float(med),
-        "q1": float(q1),
-        "q3": float(q3),
-        "whisker_lo": whisker_lo,
-        "whisker_hi": whisker_hi,
-        "n_outliers": n_out,
-    }
+    return [v.size, *(f"{s:.17g}" for s in (med, q1, q3, *whiskers)), n_out]
 
 
 def cmd_fredholm_bench(args):
@@ -317,20 +306,18 @@ def cmd_fredholm_bench(args):
               newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(RESULT_COLUMNS))
         writer.writeheader()
-        for (row, _, _), task in zip(outcomes, tasks):
-            writer.writerow(row)
+        writer.writerows(row for row, _, _ in outcomes)
 
     with open(os.path.join(cfg.output_dir, "stopping.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner"])
-        for (row, extras, _), task in zip(outcomes, tasks):
-            if task["method"] in ITERATIVE_METHODS:
+        for row, extras, _ in outcomes:
+            if extras:  # iterative methods only
                 writer.writerow([row["method"], row["nsr"], row["trial"],
-                                 extras.get("k_lcurve", ""), extras.get("k_dp", ""),
-                                 extras.get("weak_corner", "")])
+                                 extras["k_lcurve"], extras["k_dp"], extras["weak_corner"]])
 
-    for (row, _, x), task in zip(outcomes, tasks):
+    for row, _, x in outcomes:
         name = f"{row['method']}_nsr{row['nsr']}_trial{row['trial']}.bin"
         write_array(os.path.join(sol_dir, name), x)
 
@@ -341,14 +328,9 @@ def cmd_fredholm_bench(args):
                          "whisker_lo", "whisker_hi", "n_outliers"])
         for method in cfg.methods:
             for nsr in cfg.nsr_ladder:
-                vals = [float(row["l2rho_error"]) for (row, _, _), task in
-                        zip(outcomes, tasks)
+                vals = [float(row["l2rho_error"]) for (row, _, _), task in zip(outcomes, tasks)
                         if row["method"] == method and task["nsr"] == nsr]
-                st = _boxplot_stats(vals)
-                writer.writerow([method, f"{nsr:g}", st["count"],
-                                 f"{st['median']:.17g}", f"{st['q1']:.17g}",
-                                 f"{st['q3']:.17g}", f"{st['whisker_lo']:.17g}",
-                                 f"{st['whisker_hi']:.17g}", st["n_outliers"]])
+                writer.writerow([method, f"{nsr:g}", *_boxplot_row(vals)])
 
     print(f"wrote {len(tasks)} rows to {os.path.join(cfg.output_dir, 'results.csv')}")
     return 0
@@ -491,25 +473,19 @@ def cmd_deblur(args):
 
 
 def _parse_stop_flag(spec, max_iters):
-    if spec == "lcurve":
-        return LCurve(max_iters=max(max_iters, 10))
-    if spec.startswith("dp:"):
-        parts = spec.split(":")
-        try:
-            noise = float(parts[1])
-            tau = float(parts[2]) if len(parts) > 2 else 1.01
-        except (IndexError, ValueError):
-            raise UsageError(f"bad stop spec {spec!r}; expected dp:NOISE[:TAU]") from None
-        return Discrepancy(noise_norm=noise, tau=tau, max_iters=max_iters)
-    if spec.startswith("fixed:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad stop spec {spec!r}; expected fixed:K") from None
-        if k <= 0:
-            raise UsageError(f"fixed iteration count must be positive, got {k}")
-        return FixedIters(k)
-    raise UsageError(f"unknown stop rule {spec!r}")
+    kind, _, rest = spec.partition(":")
+    try:
+        if spec == "lcurve":
+            return LCurve(max_iters=max(max_iters, 10))
+        if kind == "dp":
+            noise, _, tau = rest.partition(":")
+            return Discrepancy(noise_norm=float(noise), tau=float(tau or 1.01),
+                               max_iters=max_iters)
+        if kind == "fixed":
+            return FixedIters(int(rest))
+    except ValueError as exc:
+        raise UsageError(f"bad stop spec {spec!r}: {exc}") from None
+    raise UsageError(f"unknown stop rule {spec!r}; expected lcurve, dp:NOISE[:TAU] or fixed:K")
 
 
 def _read_data(path, rows):
@@ -546,124 +522,38 @@ def cmd_solve(args):
 # -- oracle battery ----------------------------------------------------------
 
 
-def _oracle_orthogonality(rng, m, n, steps):
-    from .bidiag import run_bidiag
-
-    a = rng.standard_normal((m, n))
-    from .linops import DenseMap
-
-    linmap = DenseMap(a)
-    geom = RkhsGeometry(linmap, compute_exploration_weights(linmap))
-    b = rng.standard_normal(m)
-    factors = run_bidiag(geom, b, steps, reorthogonalize=True)
-    u = np.column_stack(factors.U)
-    dev_u = np.max(np.abs(u.T @ u - np.eye(u.shape[1])))
-    z = np.column_stack(factors.Z)
-    zbar = np.column_stack(factors.Zbar)
-    dev_z = np.max(np.abs(z.T @ zbar - np.eye(z.shape[1])))
-    return max(dev_u, dev_z)
-
-
-def _oracle_count(rng, m, n):
-    from .bidiag import BidiagProcess
-    from .linops import DenseMap
-
-    sigmas = np.array([2.5, 2.5, 1.8, 1.0, 1.0, 0.7])
-    r = sigmas.size
-    u0 = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :r]
-    v0 = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :r]
-    a = (u0 * sigmas) @ v0.T
-    linmap = DenseMap(a)
-    rho = np.full(n, 1.0 / n)
-    geom = RkhsGeometry(linmap, rho)
-    picks = [0, 2, 5]  # one representative of each chosen distinct value
-    b = u0[:, picks] @ rng.uniform(0.5, 1.5, size=len(picks))
-    proc = BidiagProcess(linmap, b, pinv_apply=geom.apply_crkhs_pinv, reorthogonalize=True)
-    while not proc.terminated:
-        proc.advance()
-    return proc.k_t, len(picks)
-
-
-def _oracle_residual_identity(rng, m, n):
-    from .linops import DenseMap
-
-    a = rng.standard_normal((m, n))
-    linmap = DenseMap(a)
-    geom = RkhsGeometry(linmap, compute_exploration_weights(linmap))
-    b = rng.standard_normal(m)
-    result = run_method("iDARR", linmap, geom, b, FixedIters(min(n, 15)), store_iterates=True)
-    worst = 0.0
-    for rec, x_k in zip(result.history, result.iterates):
-        actual = np.linalg.norm(linmap.apply(x_k) - b)
-        worst = max(worst, abs(actual - rec.residual))
-    return worst / np.linalg.norm(b)
-
-
-def _rank_deficient_instance(rng, m, n, rank):
-    from .linops import DenseMap
-
-    left = np.linalg.qr(rng.standard_normal((m, rank)))[0]
-    right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
-    sigmas = np.geomspace(3.0, 0.5, rank)
-    a = (left * sigmas) @ right.T
-    linmap = DenseMap(a)
-    geom = RkhsGeometry(linmap, compute_exploration_weights(linmap))
-    b = rng.standard_normal(m)
-    return linmap, geom, b
-
-
-def _restricted_oracle(linmap, geom, b):
-    from .rkhs import generalized_eig
-
-    a = linmap.entries
-    decomp = generalized_eig(a.T @ a, geom.rho)
-    r = decomp.rank
-    w = decomp.V[:, :r] * np.sqrt(decomp.lambdas[:r])[None, :]
-    y, *_ = np.linalg.lstsq(a @ w, b, rcond=None)
-    return w @ y
-
-
-def _oracle_terminal(rng, m, n, rank):
-    linmap, geom, b = _rank_deficient_instance(rng, m, n, rank)
-    result = run_method("iDARR", linmap, geom, b, FixedIters(n + 5), reorthogonalize=True,
-                        store_iterates=True)
-    x_star = _restricted_oracle(linmap, geom, b)
-    return float(np.linalg.norm(result.x - x_star) / np.linalg.norm(x_star))
-
-
-def _oracle_uniqueness(rng, m, n, rank):
-    from .bidiag import run_bidiag
-
-    linmap, geom, b = _rank_deficient_instance(rng, m, n, rank)
-    k = max(rank - 2, 1)
-    result = run_method("iDARR", linmap, geom, b, FixedIters(k), reorthogonalize=True,
-                        store_iterates=True)
-    factors = run_bidiag(geom, b, k, reorthogonalize=True)
-    z = np.column_stack(factors.Z[:k])
-    mix = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
-    basis = z @ mix
-    y, *_ = np.linalg.lstsq(linmap.entries @ basis, b, rcond=None)
-    x_alt = basis @ y
-    return float(np.linalg.norm(result.x - x_alt) / np.linalg.norm(x_alt))
-
-
 def cmd_oracle_check(args):
+    m, n, steps = args.m, args.n, args.steps
+    for flag, value in (("m", m), ("n", n), ("steps", steps)):
+        if value <= 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
+    if not 0 <= args.rank <= min(m, n):
+        raise UsageError(f"rank must be in 0..{min(m, n)} (0 for the default), got {args.rank}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {args.seed}")
+    rank = args.rank or max(min(m, n) // 2, 1)
     rng = np.random.default_rng(args.seed)
-    m, n = args.m, args.n
-    rank = args.rank if args.rank else max(min(m, n) // 2, 2)
-    checks = []
-    dev = _oracle_orthogonality(rng, m, n, min(n, args.steps))
-    checks.append(("orthogonality", dev, 1e-10))
-    k_t, q = _oracle_count(rng, max(m, 12), max(n, 10))
-    checks.append(("termination-count", abs(k_t - q), 0.5))
-    dev = _oracle_residual_identity(rng, m, n)
-    checks.append(("residual-identity", dev, 1e-9))
-    dev = _oracle_terminal(rng, m, n, rank)
-    checks.append(("terminal-solution", dev, 1e-6))
-    dev = _oracle_uniqueness(rng, m, n, rank)
-    checks.append(("subspace-uniqueness", dev, 1e-8))
+
+    def count_gap():  # the data hits three distinct values of six
+        sigmas = (2.5, 2.5, 1.8, 1.0, 1.0, 0.7)
+        geom, b = multiplicity_instance(rng, sigmas, (0, 2, 5), max(m, 12), max(n, 10))
+        factors = run_bidiag(geom, b, len(sigmas) + 4, reorthogonalize=True)
+        return abs(factors.k_t - 3) if factors.terminated else np.inf
+
+    checks = (
+        ("orthogonality", lambda: max(orthonormality_loss(run_bidiag(
+            *gaussian_instance(rng, m, n), min(n, steps), reorthogonalize=True))), 1e-10),
+        ("termination-count", count_gap, 0.5),
+        ("residual-identity",
+         lambda: max(residual_gaps(*gaussian_instance(rng, m, n), min(n, 15))), 1e-9),
+        ("terminal-solution",
+         lambda: terminal_deviation(*rank_deficient_instance(rng, m, n, rank)), 1e-6),
+        ("subspace-uniqueness", lambda: subspace_deviation(
+            *rank_deficient_instance(rng, m, n, rank), max(rank - 2, 1), rng), 1e-8),
+    )
     failed = False
-    for name, value, tol in checks:
+    for name, measure, tol in checks:
+        value = measure()
         ok = value <= tol
         failed = failed or not ok
         print(f"PROP {name:<20} max_dev={value:.3e} tol={tol:.0e} "

@@ -303,7 +303,9 @@ def gaussian_psf(width, radius=None):
     if radius is None:
         radius = default_radius
     r = np.arange(-radius, radius + 1)
-    g = np.exp(-(r**2) / (2.0 * width**2))
+    with np.errstate(all="ignore"):  # a width whose square underflows gives 0/0
+        g = np.exp(-(r**2) / (2.0 * width**2))
+    g[radius] = 1.0  # equals exp(-0) at a normal width; makes a delta below it
     psf = np.outer(g, g)
     return psf / psf.sum()
 
@@ -377,6 +379,8 @@ def read_psf_text(path):
         raise IoError(f"{path}: malformed psf grid: {exc}") from exc
     if psf.size == 0:
         raise IoError(f"{path}: empty psf grid")
+    if not np.all(np.isfinite(psf)) or np.any(psf < 0) or not psf.sum() > 0:
+        raise IoError(f"{path}: psf grid entries must be finite, nonnegative, not all zero")
     return psf
 
 

@@ -83,23 +83,19 @@ class SpectralDecomposition:
     rank: int
 
 
-def generalized_eig(gram_or_map, rho):
+def generalized_eig(gram, rho):
     """Solve the weighted eigenproblem by symmetric reduction.
 
-    Accepts either the n x n normal matrix A^T A or a LinearMap (densified
-    internally). With D = diag(sqrt(rho)), the symmetric matrix
-    D^-1 (A^T A) D^-1 is diagonalized and eigenvectors are mapped back by
-    D^-1, which enforces the B-orthonormality exactly. Eigenvalues are
-    clamped at zero and the rank counts those above lambda_max * n * eps.
+    gram is the n x n normal matrix A^T A. With D = diag(sqrt(rho)), the
+    symmetric matrix D^-1 (A^T A) D^-1 is diagonalized and eigenvectors are
+    mapped back by D^-1, which enforces the B-orthonormality exactly.
+    Eigenvalues are clamped at zero and the rank counts those above
+    lambda_max * n * eps.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
         raise GeometryError("weights must be strictly positive and finite")
-    if isinstance(gram_or_map, LinearMap):
-        a = gram_or_map.as_dense()
-        gram = a.T @ a
-    else:
-        gram = np.asarray(gram_or_map, dtype=np.float64)
+    gram = np.asarray(gram, dtype=np.float64)
     n = rho.shape[0]
     if gram.shape != (n, n):
         raise DimensionError(f"normal matrix must be {n}x{n}, got {gram.shape}")

@@ -84,10 +84,12 @@ class Discrepancy(StoppingRule):
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
-        if self.noise_norm < 0:
-            raise ValueError("noise_norm must be nonnegative")
+        if not 1.0 < self.tau < np.inf:
+            raise ValueError(f"tau must exceed 1 and be finite, got {self.tau}")
+        if not 0.0 <= self.noise_norm < np.inf:
+            raise ValueError(f"noise_norm must be nonnegative and finite, got {self.noise_norm}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
     def reached(self, residual):
         return residual <= self.tau * self.noise_norm

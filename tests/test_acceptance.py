@@ -18,7 +18,6 @@ from idarr import (
     RkhsGeometry,
     add_noise,
     clean_problem,
-    generalized_eig,
     idarr_solve,
     irL2_solve,
     irl2_solve,
@@ -29,6 +28,14 @@ from idarr import (
     true_solution,
 )
 from idarr.cli import row_seed, run_bench_row, run_timing_sweep
+from idarr.properties import (
+    gaussian_instance,
+    multiplicity_instance,
+    orthonormality_loss,
+    rank_deficient_instance,
+    residual_gaps,
+    terminal_deviation,
+)
 
 NOISE_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625)
 TRIALS = 20
@@ -89,18 +96,11 @@ def _median_errors(rows, method):
 
 
 def test_01_factorization_orthonormality(record_acceptance):
-    rng = np.random.default_rng(101)
-    geom = make_geometry(DenseMap(rng.standard_normal((50, 30))))
-    b = rng.standard_normal(50)
+    geom, b = gaussian_instance(np.random.default_rng(101), 50, 30)
     t0 = time.perf_counter()
     factors = run_bidiag(geom, b, 60, reorthogonalize=True)
     elapsed = time.perf_counter() - t0
-
-    u = np.column_stack(factors.U)
-    u_dev = float(np.abs(u.T @ u - np.eye(u.shape[1])).max())
-    z = np.column_stack(factors.Z)
-    zbar = np.column_stack(factors.Zbar)
-    pair_dev = float(np.abs(z.T @ zbar - np.eye(z.shape[1])).max())
+    u_dev, pair_dev = orthonormality_loss(factors)
 
     ok = (
         factors.terminated
@@ -121,35 +121,24 @@ def test_01_factorization_orthonormality(record_acceptance):
 
 
 def test_02_residual_identity(record_acceptance):
-    worst = 0.0
-    checked = 0
-
-    def _check(geom, b, steps):
-        nonlocal worst, checked
-        result = idarr_solve(geom, b, FixedIters(steps), store_iterates=True)
-        scale = np.linalg.norm(b)
-        for rec, x in zip(result.history, result.iterates):
-            direct = np.linalg.norm(geom.linmap.apply(x) - b)
-            worst = max(worst, abs(rec.residual - direct) / scale)
-            checked += 1
-
+    gaps = []
     rng = np.random.default_rng(202)
     for _ in range(20):
         m = int(rng.integers(15, 61))
         n = int(rng.integers(8, 41))
-        geom = make_geometry(DenseMap(rng.standard_normal((m, n))))
-        _check(geom, rng.standard_normal(m), min(n, 12))
+        gaps += residual_gaps(*gaussian_instance(rng, m, n), min(n, 12))
 
     for kernel in ("exp", "poly"):
         setup = make_fredholm(kernel)
         x_true = true_solution(setup, "in-range")
         for nsr in (0.5, 0.0625):
             problem = add_noise(clean_problem(setup, x_true), nsr, 1)
-            _check(problem.geom, problem.b, 30)
+            gaps += residual_gaps(problem.geom, problem.b, 30)
 
+    worst = max(gaps)
     ok = worst <= 1e-9
     record_acceptance(
-        2, ok, f"{checked} iterations checked, worst |gap|/||b||={worst:.2e}"
+        2, ok, f"{len(gaps)} iterations checked, worst |gap|/||b||={worst:.2e}"
     )
 
 
@@ -169,31 +158,11 @@ def test_03_termination_step_count(record_acceptance):
         ((5.0, 4.0, 3.0, 2.0, 1.0, 1.0), (0, 1, 2, 3, 4), 5),
         ((5.0, 4.0, 3.0, 2.0, 1.0, 1.0), (1, 3, 5), 3),
     )
-    def selection(rng, length, count):
-        # Signed coordinate-selection block: orthonormal, and exact in floating
-        # point, so the unhit projections of b are bitwise zero rather than
-        # roundoff-sized (roundoff in a skipped dominant direction would get
-        # amplified into spurious extra steps).
-        mat = np.zeros((length, count))
-        picks = rng.choice(length, size=count, replace=False)
-        mat[picks, np.arange(count)] = rng.choice([-1.0, 1.0], count)
-        return mat
-
     rng = np.random.default_rng(303)
     failures = []
     for sigmas, hit_columns, expected in cases:
         r = len(sigmas)
-        m, n = r + 6, r + 4
-        u = selection(rng, m, r)
-        w = selection(rng, n, r)
-        rho = rng.uniform(0.5, 2.0, n)
-        rho /= rho.sum()
-        entries = (u * np.asarray(sigmas)) @ w.T @ np.diag(np.sqrt(rho))
-        geom = RkhsGeometry(DenseMap(entries), rho)
-        coeffs = rng.uniform(0.6, 1.4, len(hit_columns)) * rng.choice(
-            [-1.0, 1.0], len(hit_columns)
-        )
-        b = u[:, list(hit_columns)] @ coeffs
+        geom, b = multiplicity_instance(rng, sigmas, hit_columns, r + 6, r + 4)
         factors = run_bidiag(geom, b, r + 4, reorthogonalize=True)
         if not (factors.terminated and factors.k_t == expected and factors.k_t <= r):
             failures.append((sigmas, hit_columns, expected, factors.k_t))
@@ -209,32 +178,12 @@ def test_03_termination_step_count(record_acceptance):
 # -- 4: terminal iterate matches the dense range-restricted least squares ----
 
 
-def _restricted_pinv_solution(geom, b):
-    """Dense oracle: minimizer of ||Ax-b|| over the range of the adaptive
-    quadratic form, via the factor whose outer product gives its pseudoinverse."""
-    decomp = generalized_eig(geom.linmap, geom.rho)
-    factor = decomp.V[:, : decomp.rank] * np.sqrt(decomp.lambdas[: decomp.rank])
-    coeffs, *_ = np.linalg.lstsq(geom.linmap.as_dense() @ factor, b, rcond=None)
-    return factor @ coeffs
-
-
 def test_04_terminal_solution_oracle(record_acceptance):
     rng = np.random.default_rng(404)
-    worst = 0.0
-    for m, n, rank in ((30, 20, 8), (50, 50, 10), (25, 15, 5)):
-        u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
-        sigmas = np.geomspace(1.0, 0.2, rank)
-        geom = make_geometry(DenseMap((u * sigmas) @ v.T))
-        b = rng.standard_normal(m)
-        result = idarr_solve(
-            geom, b, FixedIters(n + 10), reorthogonalize=True
-        )
-        assert result.terminated
-        oracle = _restricted_pinv_solution(geom, b)
-        rel = np.linalg.norm(result.x - oracle) / np.linalg.norm(oracle)
-        worst = max(worst, float(rel))
-
+    worst = max(
+        terminal_deviation(*rank_deficient_instance(rng, m, n, rank))
+        for m, n, rank in ((30, 20, 8), (50, 50, 10), (25, 15, 5))
+    )
     ok = worst <= 1e-6
     record_acceptance(4, ok, f"3 rank-deficient instances, worst rel dev={worst:.2e}")
 

@@ -88,13 +88,16 @@ class TestSolveCommand:
         desc, data, _, _ = dense_instance
         assert main(["solve", "--operator", desc, "--data", data, "--nope"]) == 1
 
-    def test_malformed_stop_spec_is_usage_error(self, dense_instance, tmp_path):
+    def test_malformed_stop_spec_is_usage_error(self, dense_instance, tmp_path, capsys):
         desc, data, _, _ = dense_instance
-        args = ["solve", "--operator", desc, "--data", data,
-                "--out", str(tmp_path / "x.bin")]
-        assert main(args + ["--stop", "dp:abc"]) == 1
-        assert main(args + ["--stop", "fixed:0"]) == 1
-        assert main(args + ["--stop", "simplex"]) == 1
+        out = tmp_path / "x.bin"
+        args = ["solve", "--operator", desc, "--data", data, "--out", str(out)]
+        for extra in (["dp:abc"], ["fixed:0"], ["simplex"], ["dp:1:0.5"], ["dp:-1"],
+                      ["dp:nan"], ["dp:inf"], ["dp:0.1:nan"], ["dp:0.1:inf"],
+                      ["dp:0.1", "--max-iters", "0"]):
+            assert main(args + ["--stop"] + extra) == 1, extra
+            assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
 
     def test_missing_operator_file_is_io_error(self, tmp_path):
         data = tmp_path / "b.bin"
@@ -293,6 +296,31 @@ class TestDeblurCommand:
         assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:wide",
                      "--output-dir", str(tmp_path)]) == 1
 
+    def test_vanishing_gaussian_width_restores_through_a_delta(self, tmp_path):
+        out = tmp_path / "deblur"
+        assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:1e-200",
+                     "--max-iters", "12", "--output-dir", str(out)]) == 0
+        assert np.isfinite(json.loads((out / "summary.json").read_text())["rel_error_l2"])
+
+
+@pytest.mark.parametrize("command", ["deblur", "solve"])
+@pytest.mark.parametrize("entry", ["nan", "inf", "-0.1", "0"])
+def test_bad_psf_grid_is_io_error(tmp_path, capsys, command, entry):
+    (tmp_path / "psf.txt").write_text(f"0 0 0\n0 {entry} 0\n0 0 0\n")
+    out = tmp_path / "out"
+    if command == "deblur":
+        argv = ["deblur", "--image", "blobs:16", "--psf", str(tmp_path / "psf.txt"),
+                "--output-dir", str(out)]
+    else:
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps({"kind": "psf", "side": 4, "psf": "psf.txt"}))
+        write_array(str(tmp_path / "b.bin"), np.ones(16))
+        argv = ["solve", "--operator", str(desc), "--data", str(tmp_path / "b.bin"),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("io error:")
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -336,6 +364,26 @@ class TestOracleCheckCommand:
             "orthogonality", "termination-count", "residual-identity",
             "terminal-solution", "subspace-uniqueness",
         }
+
+    @pytest.mark.parametrize("argv", [
+        # built from QR factors, the step-count instance took extra steps here
+        ["--seed", "1"], ["--seed", "6"], ["--seed", "10"], ["--seed", "38"],
+        ["--m", "3", "--n", "2"], ["--m", "10", "--n", "30"],
+        ["--m", "12", "--n", "10"], ["--m", "8", "--n", "5", "--rank", "5"],
+    ])
+    def test_properties_pass_on_exact_instances(self, argv, capsys):
+        assert main(["oracle-check"] + argv) == 0
+        assert capsys.readouterr().out.count(" PASS\n") == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "0"], ["--n", "-2"], ["--steps", "0"], ["--steps", "-3"],
+        ["--rank", "-1"], ["--rank", "100"], ["--m", "8", "--n", "5", "--rank", "6"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, argv, capsys):
+        assert main(["oracle-check"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and not captured.out
 
 
 class TestConfigHandling:

@@ -14,6 +14,7 @@ from idarr.linops import (
     build_fredholm_map,
     exp_decay_kernel,
     gaussian_psf,
+    gaussian_radius,
     poly_decay_kernel,
     read_pgm,
     read_psf_text,
@@ -239,6 +240,17 @@ class TestGaussianPsf:
         psf = gaussian_psf(1.5)
         c = psf.shape[0] // 2
         assert psf[c, c] == psf.max()
+
+    @pytest.mark.parametrize("width", [1e-200, 1e-160, 1e-3])
+    def test_vanishing_width_is_a_delta(self, width):
+        np.testing.assert_array_equal(gaussian_psf(width), np.diag([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("width", np.linspace(0.3, 5.0, 15))
+    def test_normal_width_matches_closed_form_bitwise(self, width):
+        r = np.arange(-gaussian_radius(width), gaussian_radius(width) + 1)
+        g = np.exp(-(r**2) / (2.0 * width**2))
+        psf = np.outer(g, g)
+        np.testing.assert_array_equal(gaussian_psf(width), psf / psf.sum())
 
 
 class TestKernels:

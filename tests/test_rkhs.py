@@ -148,15 +148,6 @@ class TestGeneralizedEig:
         assert decomp.rank == np.linalg.matrix_rank(a)
         assert decomp.rank == 7
 
-    def test_linear_map_and_gram_agree(self, rng):
-        a = rng.standard_normal((10, 6))
-        rho = rng.uniform(0.1, 2.0, 6)
-        from_map = generalized_eig(DenseMap(a), rho)
-        from_gram = generalized_eig(a.T @ a, rho)
-        np.testing.assert_allclose(from_map.lambdas, from_gram.lambdas, atol=1e-12)
-        np.testing.assert_allclose(from_map.V, from_gram.V, atol=1e-12)
-        assert from_map.rank == from_gram.rank
-
     def test_invalid_weights_rejected(self):
         with pytest.raises(GeometryError):
             generalized_eig(TOY_A.T @ TOY_A, np.array([1.0, -1.0]))
