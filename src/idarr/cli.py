@@ -103,6 +103,8 @@ def _validate_config(cfg):
         raise UsageError(f"tau must exceed 1 and be finite, got {cfg.tau}")
     if cfg.max_iters < 10:
         raise UsageError(f"max_iters must be at least 10, got {cfg.max_iters}")
+    if cfg.seed_base < 0:
+        raise UsageError(f"seed_base must be nonnegative, got {cfg.seed_base}")
     return cfg
 
 
@@ -529,8 +531,6 @@ def cmd_oracle_check(args):
             raise UsageError(f"{flag} must be positive, got {value}")
     if not 0 <= args.rank <= min(m, n):
         raise UsageError(f"rank must be in 0..{min(m, n)} (0 for the default), got {args.rank}")
-    if args.seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {args.seed}")
     rank = args.rank or max(min(m, n) // 2, 1)
     rng = np.random.default_rng(args.seed)
 
@@ -569,6 +569,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text):  # numpy's generators take only nonnegative seeds
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="idarr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -604,7 +610,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=500)
     p.add_argument("--k-fixed", dest="k_fixed", type=int, default=10)
     p.add_argument("--replicas", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--output-dir", dest="output_dir", default="results")
     p.set_defaults(func=cmd_timing)
 
@@ -615,7 +621,7 @@ def build_parser():
     p.add_argument("--nsr", type=float, default=0.01)
     p.add_argument("--method", default="iDARR", choices=ITERATIVE_METHODS)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=60)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_seed, default=11)
     p.add_argument("--output-dir", dest="output_dir", default="deblur_out")
     p.set_defaults(func=cmd_deblur)
 
@@ -624,7 +630,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--seed", type=_seed, default=3)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

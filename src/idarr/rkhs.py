@@ -12,7 +12,7 @@ eigendecomposition, norm evaluation, regularized direct solves) serve both
 as baselines and as oracles for the iterative solver.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,9 +96,9 @@ def generalized_eig(gram, rho):
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
         raise GeometryError("weights must be strictly positive and finite")
     gram = np.asarray(gram, dtype=np.float64)
-    n = rho.shape[0]
-    if gram.shape != (n, n):
-        raise DimensionError(f"normal matrix must be {n}x{n}, got {gram.shape}")
+    n = rho.size
+    if rho.ndim != 1 or gram.shape != (n, n):
+        raise DimensionError(f"{gram.shape} normal matrix does not match {rho.shape} weights")
     d = np.sqrt(rho)
     sym = gram / d[:, None] / d[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -170,38 +170,36 @@ def _lambda_grid(lam_max, lam_min):
     return np.geomspace(lam_max, lo, N_LAMBDAS)
 
 
-def _dense_problem(linmap, b):
+def _dense_problem(linmap, b, weights):
+    """Dense operator, data, and the one factorization: generalized_eig under weights."""
     b = np.asarray(b, dtype=np.float64)
     if np.linalg.norm(b) == 0:
         raise TrivialDataError("data vector is identically zero")
     a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
-    return a, b
+    decomp = generalized_eig(a.T @ a, np.ones(a.shape[1]) if weights is None else weights)
+    if decomp.rank == 0:
+        raise TrivialDataError("operator has numerical rank zero")
+    return a, b, decomp
 
 
-def _ridge_path(k, b, ladder):
-    """Corner-selected ridge path of min ||k y - b||^2 + lam ||y||^2.
+def _ridge_path(a, t, s2, b, lambdas):
+    """Corner-selected ridge path of min ||A T y - b||^2 + lam ||y||^2, in x = T y.
 
-    k is the operator in standard form, k = A T for the change of variables
-    x = T y that turns the method's penalty into the plain squared norm.
-    One eigendecomposition of k^T k serves the whole ladder; ladder maps its
-    eigenvalues (ascending, clamped at zero) to the strengths to sweep, and
-    every strength is evaluated at once as a (ladder x rank) array. The
-    result's path and x are in y coordinates; the caller maps them to x.
+    T is the change of variables that turns the method's penalty into the
+    plain squared norm and diagonalizes the problem, (A T)^T (A T) = diag(s2),
+    so every strength is the diagonal filter 1/(s2 + lam), evaluated at once
+    as a (ladder x rank) array. The residual is formed explicitly from the
+    path, which counts the part of b outside the range of A; A T is never
+    formed.
     """
-    gram = k.T @ k
-    mu, q = np.linalg.eigh(0.5 * (gram + gram.T))
-    mu = np.maximum(mu, 0.0)
-    if mu[-1] == 0.0:
-        raise TrivialDataError("operator is identically zero")
-    lambdas = ladder(mu)
-    g = q.T @ (k.T @ b)
-    path = (g / (mu + lambdas[:, None])) @ q.T
-    res = path @ k.T - b
+    y = (t.T @ (a.T @ b)) / (s2 + lambdas[:, None])
+    path = y @ t.T
+    res = path @ a.T - b
     residual_sq = np.einsum("ij,ij->i", res, res)
-    penalty_sq = np.einsum("ij,ij->i", path, path)
+    penalty_sq = np.einsum("ij,ij->i", y, y)
     corner, weak = _select_corner(residual_sq, penalty_sq)
     return DirectResult(
-        x=path[corner],
+        x=path[corner].copy(),
         lam=float(lambdas[corner]),
         corner_index=int(corner),
         lambdas=lambdas,
@@ -217,39 +215,27 @@ def dartr_solve(linmap, rho, b):
 
     Transforms the penalized normal equations with the square-root factor
     C_* = V Lam^(1/2) restricted to the numerical rank, where the penalty
-    becomes the plain squared norm, sweeps a logarithmic ladder of
-    regularization strengths spanning the generalized eigenvalue range, and
-    picks the strength at the corner of the (log residual^2, log penalty^2)
-    curve.
+    becomes the plain squared norm. Since V^T A^T A V = Lam, the standard
+    form A C_* has the exact spectrum Lam^2, so each strength lam is the
+    filter Lam / (Lam^2 + lam) on the generalized coordinates of A^T b. The
+    ladder spans the generalized eigenvalue range, and the returned point is
+    the corner of the (log residual^2, log penalty^2) curve.
     """
-    a, b = _dense_problem(linmap, b)
-    rho = np.asarray(rho, dtype=np.float64)
-    decomp = generalized_eig(a.T @ a, rho)
-    r = decomp.rank
-    if r == 0:
-        raise TrivialDataError("operator has numerical rank zero")
-    cstar = decomp.V[:, :r] * np.sqrt(decomp.lambdas[:r])[None, :]
-    lambdas = _lambda_grid(decomp.lambdas[0], decomp.lambdas[r - 1])
-    result = _ridge_path(a @ cstar, b, lambda mu: lambdas)
-    path = result.path @ cstar.T
-    return replace(result, x=path[result.corner_index].copy(), path=path)
+    a, b, decomp = _dense_problem(linmap, b, rho)
+    lam = decomp.lambdas[: decomp.rank]
+    cstar = decomp.V[:, : decomp.rank] * np.sqrt(lam)
+    return _ridge_path(a, cstar, lam**2, b, _lambda_grid(lam[0], lam[-1]))
 
 
 def tikhonov_direct(linmap, b, weights=None):
     """Classical regularized least squares with a diagonal penalty.
 
-    weights None penalizes the plain squared norm; a positive weight vector
-    w penalizes sum_i w_i x_i^2. The strength ladder spans the squared
-    singular value range of the (column-scaled) operator and the returned
-    point is the corner of the (log residual^2, log penalty^2) curve.
+    weights None penalizes the plain squared norm; a positive finite weight
+    vector w penalizes sum_i w_i x_i^2. Under A^T A V = W V Lam, V^T W V = I,
+    each strength lam is the filter 1 / (Lam + lam); the ladder spans the top
+    min(m, n) eigenvalues and the returned point is the corner of the
+    (log residual^2, log penalty^2) curve.
     """
-    a, b = _dense_problem(linmap, b)
-    weights = np.ones(a.shape[1]) if weights is None else np.asarray(weights, np.float64)
-    if np.any(weights <= 0):
-        raise GeometryError("penalty weights must be strictly positive")
-    scale = 1.0 / np.sqrt(weights)
-    # the nonzero squared singular values are the top min(m, n) eigenvalues
-    rank = min(a.shape)
-    result = _ridge_path(a * scale[None, :], b, lambda mu: _lambda_grid(mu[-1], mu[-rank]))
-    path = result.path * scale
-    return replace(result, x=path[result.corner_index].copy(), path=path)
+    a, b, decomp = _dense_problem(linmap, b, weights)
+    lam = decomp.lambdas
+    return _ridge_path(a, decomp.V, lam, b, _lambda_grid(lam[0], lam[min(a.shape) - 1]))

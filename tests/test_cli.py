@@ -338,12 +338,16 @@ def test_bad_psf_grid_is_io_error(tmp_path, capsys, command, entry):
         ["deblur", "--image", "blobs:16", "--nsr", "nan"],
         ["deblur", "--image", "blobs:16", "--nsr", "inf"],
         ["fredholm-bench", "--nsr-ladder", "0.5,nan"],
+        ["timing", "--seed", "-1000"],
+        ["fredholm-bench", "--seed-base", "-1"],
+        ["deblur", "--image", "blobs:16", "--seed", "-1"],
     ],
     ids=["deblur-short-budget", "deblur-negative-nsr", "bench-bad-ladder",
          "timing-no-replicas", "timing-empty-grid", "deblur-psf-inf",
          "deblur-psf-nan", "deblur-psf-zero", "deblur-psf-huge",
          "deblur-psf-wider-than-frame", "deblur-nan-nsr", "deblur-inf-nsr",
-         "bench-nan-ladder"],
+         "bench-nan-ladder", "timing-negative-seed", "bench-negative-seed-base",
+         "deblur-negative-seed"],
 )
 def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
@@ -418,6 +422,14 @@ class TestConfigHandling:
         path = tmp_path / "exp.cfg"
         path.write_text("[experiment]\nflavor = mint\n")
         assert main(["fredholm-bench", "--config", str(path)]) == 1
+
+    def test_negative_seed_base_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nseed_base = -1\n")
+        out = tmp_path / "out"
+        assert main(["fredholm-bench", "--config", str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
 
     def test_missing_section_is_io_error(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -248,6 +248,26 @@ class TestDartrSolve:
         with pytest.raises(TrivialDataError):
             dartr_solve(DenseMap(TOY_A), TOY_RHO, np.zeros(2))
 
+    def test_ladder_matches_analytic_spectrum(self, rng):
+        # A = U diag(s) Q^T diag(sqrt(rho)) has generalized eigenvalues s^2,
+        # so the standard form's spectrum s^4 spans 1.6e-15 of its top: the
+        # ladder is exact only if that spectrum is not recomputed
+        u = np.linalg.qr(rng.standard_normal((200, 60)))[0]
+        q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        s = np.geomspace(1.0, 2e-4, 60)
+        rho = rng.uniform(0.5, 2.0, 60)
+        a = (u * s) @ q.T * np.sqrt(rho)
+        b = rng.standard_normal(200)
+        result = dartr_solve(DenseMap(a), rho, b)
+        beta = u.T @ b
+        outside = b - u @ beta
+        lam = result.lambdas[:, None]
+        s4 = s**4
+        penalty = np.sum((s**2 * beta / (s4 + lam)) ** 2, axis=1)
+        residual = np.sum((beta * lam / (s4 + lam)) ** 2, axis=1) + outside @ outside
+        np.testing.assert_allclose(result.penalty_sq, penalty, rtol=1e-9)
+        np.testing.assert_allclose(result.residual_sq, residual, rtol=1e-9)
+
     def test_beats_plain_penalty_on_smooth_kernel(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
         problem = add_noise(clean_problem(exp_setup, xt), 0.0625, 0)
@@ -288,6 +308,15 @@ class TestTikhonovDirect:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(GeometryError):
             tikhonov_direct(DenseMap(TOY_A), np.array([1.0, 0.0]), weights=np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("weights, error", [
+        ([1.0, np.nan], GeometryError),
+        ([np.inf, 1.0], GeometryError),
+        ([1.0, 1.0, 1.0], DimensionError),
+    ], ids=["nan", "inf", "wrong-length"])
+    def test_bad_weights_rejected(self, weights, error):
+        with pytest.raises(error):
+            tikhonov_direct(DenseMap(TOY_A), np.array([1.0, 0.0]), weights=np.array(weights))
 
     def test_zero_data_rejected(self):
         with pytest.raises(TrivialDataError):
@@ -338,3 +367,18 @@ class TestDirectLadderReference:
         for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
             assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
         assert weighted.corner_index == plain.corner_index
+
+
+@pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])
+def test_direct_solve_runs_one_eigendecomposition(rng, monkeypatch, method):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    a = rng.standard_normal((40, 12))
+    b = rng.standard_normal(40)
+    rho = compute_exploration_weights(DenseMap(a))
+    if method == "DARTR":
+        dartr_solve(DenseMap(a), rho, b)
+    else:
+        tikhonov_direct(DenseMap(a), b, weights=rho if method == "L2-direct" else None)
+    assert calls == [(12, 12)]
