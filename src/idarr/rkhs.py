@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateColumnError, DimensionError, GeometryError, TrivialDataError
+from .errors import (DegenerateColumnError, DimensionError, GeometryError,
+                     NumericalBreakdownError, TrivialDataError)
 from .linops import LinearMap
 
 _LOG_FLOOR = 1e-300  # clamp before taking logs so zero residuals stay finite
@@ -170,72 +171,103 @@ def _lambda_grid(lam_max, lam_min):
     return np.geomspace(lam_max, lo, N_LAMBDAS)
 
 
-def _dense_problem(linmap, b, weights):
-    """Dense operator, data, and the one factorization: generalized_eig under weights."""
-    b = np.asarray(b, dtype=np.float64)
-    if np.linalg.norm(b) == 0:
-        raise TrivialDataError("data vector is identically zero")
-    a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
-    decomp = generalized_eig(a.T @ a, np.ones(a.shape[1]) if weights is None else weights)
-    if decomp.rank == 0:
-        raise TrivialDataError("operator has numerical rank zero")
-    return a, b, decomp
+@dataclass
+class DirectFactorization:
+    """One operator factored under one weight vector, for any number of ladder solves.
 
-
-def _ridge_path(a, t, s2, b, lambdas):
-    """Corner-selected ridge path of min ||A T y - b||^2 + lam ||y||^2, in x = T y.
-
-    T is the change of variables that turns the method's penalty into the
-    plain squared norm and diagonalizes the problem, (A T)^T (A T) = diag(s2),
-    so every strength is the diagonal filter 1/(s2 + lam), evaluated at once
-    as a (ladder x rank) array. The residual is formed explicitly from the
-    path, which counts the part of b outside the range of A; A T is never
-    formed.
+    Holds the dense operator a, its generalized_eig under the weights, the
+    change of variables x = T y that makes the method's penalty the plain
+    squared norm and the problem diagonal, (A T)^T (A T) = diag(s2), and the
+    strength ladder. dartr() and tikhonov() run one eigendecomposition, or
+    none when given decomp, one of A^T A under the same weights; solve(b)
+    costs products with A and T only.
     """
-    y = (t.T @ (a.T @ b)) / (s2 + lambdas[:, None])
-    path = y @ t.T
-    res = path @ a.T - b
-    residual_sq = np.einsum("ij,ij->i", res, res)
-    penalty_sq = np.einsum("ij,ij->i", y, y)
-    corner, weak = _select_corner(residual_sq, penalty_sq)
-    return DirectResult(
-        x=path[corner].copy(),
-        lam=float(lambdas[corner]),
-        corner_index=int(corner),
-        lambdas=lambdas,
-        residual_sq=residual_sq,
-        penalty_sq=penalty_sq,
-        path=path,
-        weak_corner=weak,
-    )
+
+    a: np.ndarray
+    decomp: SpectralDecomposition
+    t: np.ndarray
+    s2: np.ndarray
+    lambdas: np.ndarray
+
+    @staticmethod
+    def _factor(linmap, weights, decomp):
+        a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
+        if decomp is None:
+            decomp = generalized_eig(a.T @ a, np.ones(a.shape[1]) if weights is None else weights)
+        if decomp.rank == 0:
+            raise TrivialDataError("operator has numerical rank zero")
+        return a, decomp
+
+    @classmethod
+    def dartr(cls, linmap, rho, decomp=None):
+        """The adaptive-norm form: T = C_* = V_r Lam_r^(1/2) over the numerical rank r.
+
+        Since V^T A^T A V = Lam, the standard form A C_* has the exact
+        spectrum s2 = Lam_r^2, so each strength lam is the filter
+        Lam / (Lam^2 + lam) on the generalized coordinates of A^T b. The
+        ladder spans the generalized eigenvalue range.
+        """
+        a, decomp = cls._factor(linmap, rho, decomp)
+        lam = decomp.lambdas[: decomp.rank]
+        cstar = decomp.V[:, : decomp.rank] * np.sqrt(lam)
+        return cls(a, decomp, cstar, lam**2, _lambda_grid(lam[0], lam[-1]))
+
+    @classmethod
+    def tikhonov(cls, linmap, weights=None, decomp=None):
+        """The diagonal-penalty form: T = V, s2 = Lam, under weights w (None for w = 1).
+
+        With A^T A V = W V Lam, V^T W V = I, each strength lam is the filter
+        1 / (Lam + lam); the ladder spans the top min(m, n) eigenvalues.
+        """
+        a, decomp = cls._factor(linmap, weights, decomp)
+        lam = decomp.lambdas
+        return cls(a, decomp, decomp.V, lam, _lambda_grid(lam[0], lam[min(a.shape) - 1]))
+
+    def solve(self, b):
+        """Corner-selected ridge path of min ||A T y - b||^2 + lam ||y||^2, in x = T y.
+
+        Every strength is the diagonal filter 1/(s2 + lam), evaluated at once
+        as a (ladder x rank) array. The residual is formed explicitly from
+        the path, which counts the part of b outside the range of A; A T is
+        never formed. b must be a finite, nonzero vector of length m.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (self.a.shape[0],):
+            raise DimensionError(f"data of shape {b.shape} does not match {self.a.shape} operator")
+        if not np.all(np.isfinite(b)):
+            raise NumericalBreakdownError("data vector has non-finite entries")
+        if np.linalg.norm(b) == 0:
+            raise TrivialDataError("data vector is identically zero")
+        a, t, lambdas = self.a, self.t, self.lambdas
+        y = (t.T @ (a.T @ b)) / (self.s2 + lambdas[:, None])
+        path = y @ t.T
+        res = path @ a.T - b
+        residual_sq = np.einsum("ij,ij->i", res, res)
+        penalty_sq = np.einsum("ij,ij->i", y, y)
+        corner, weak = _select_corner(residual_sq, penalty_sq)
+        return DirectResult(
+            x=path[corner].copy(),
+            lam=float(lambdas[corner]),
+            corner_index=int(corner),
+            lambdas=lambdas,
+            residual_sq=residual_sq,
+            penalty_sq=penalty_sq,
+            path=path,
+            weak_corner=weak,
+        )
 
 
 def dartr_solve(linmap, rho, b):
-    """Direct adaptive-norm regularization over a spectral coordinate ladder.
+    """Adaptive-norm direct regularization, corner-selected: a cold one-shot.
 
-    Transforms the penalized normal equations with the square-root factor
-    C_* = V Lam^(1/2) restricted to the numerical rank, where the penalty
-    becomes the plain squared norm. Since V^T A^T A V = Lam, the standard
-    form A C_* has the exact spectrum Lam^2, so each strength lam is the
-    filter Lam / (Lam^2 + lam) on the generalized coordinates of A^T b. The
-    ladder spans the generalized eigenvalue range, and the returned point is
-    the corner of the (log residual^2, log penalty^2) curve.
+    DirectFactorization.dartr(linmap, rho).solve(b), one eigendecomposition.
     """
-    a, b, decomp = _dense_problem(linmap, b, rho)
-    lam = decomp.lambdas[: decomp.rank]
-    cstar = decomp.V[:, : decomp.rank] * np.sqrt(lam)
-    return _ridge_path(a, cstar, lam**2, b, _lambda_grid(lam[0], lam[-1]))
+    return DirectFactorization.dartr(linmap, rho).solve(b)
 
 
 def tikhonov_direct(linmap, b, weights=None):
-    """Classical regularized least squares with a diagonal penalty.
+    """Ridge with penalty sum_i w_i x_i^2 (w = 1 for None), corner-selected: a cold one-shot.
 
-    weights None penalizes the plain squared norm; a positive finite weight
-    vector w penalizes sum_i w_i x_i^2. Under A^T A V = W V Lam, V^T W V = I,
-    each strength lam is the filter 1 / (Lam + lam); the ladder spans the top
-    min(m, n) eigenvalues and the returned point is the corner of the
-    (log residual^2, log penalty^2) curve.
+    DirectFactorization.tikhonov(linmap, weights).solve(b), one eigendecomposition.
     """
-    a, b, decomp = _dense_problem(linmap, b, weights)
-    lam = decomp.lambdas
-    return _ridge_path(a, decomp.V, lam, b, _lambda_grid(lam[0], lam[min(a.shape) - 1]))
+    return DirectFactorization.tikhonov(linmap, weights).solve(b)

@@ -18,6 +18,7 @@ from idarr import (
     true_solution,
     write_array,
 )
+from idarr import cli, problems, rkhs
 from idarr.cli import (
     ITERATIVE_METHODS,
     ExperimentConfig,
@@ -243,6 +244,74 @@ class TestBenchCommand:
 
     def test_invalid_method_is_usage_error(self, tmp_path):
         assert self.run_bench(tmp_path / "res", ["--methods", "iDARR,magic"]) == 1
+
+
+CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
+           for name in ("exp_in_range", "exp_out_of_range", "poly_in_range",
+                        "poly_out_of_range")]
+
+
+@pytest.fixture()
+def cold_bench_caches():
+    """Empty the per-process setup, truth and factorization caches before and after."""
+    caches = (cli._get_setup, cli._get_truth, cli._get_factored)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Count generalized_eig calls under every name the package looks it up by."""
+    calls = []
+    eig = rkhs.generalized_eig
+
+    def counted(gram, weights):
+        calls.append(gram.shape)
+        return eig(gram, weights)
+
+    monkeypatch.setattr(rkhs, "generalized_eig", counted)
+    monkeypatch.setattr(problems, "generalized_eig", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=os.path.basename)
+def test_bench_factorization_matches_cold_solves(config, cold_bench_caches):
+    cfg = load_config(config)
+    setup = cli._get_setup(cfg.kernel, cfg.m, cfg.n)
+    base = clean_problem(setup, cli._get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth))
+    for method in ("DARTR", "L2-direct", "l2-direct"):
+        factored = cli._get_factored(cfg.kernel, cfg.m, cfg.n, method)
+        for nsr in cfg.nsr_ladder:
+            b = add_noise(base, nsr, row_seed(cfg.seed_base, method, nsr, 1)).b
+            warm = cli.run_method(method, setup.linmap, setup.geom, b, None, factored)
+            cold = cli.run_method(method, setup.linmap, setup.geom, b, None)
+            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+                assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+            assert (warm.lam, warm.corner_index) == (cold.lam, cold.corner_index)
+
+
+def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
+                                                        cold_bench_caches, eig_calls):
+    monkeypatch.delenv("IDARR_THREADS", raising=False)
+    for i, config in enumerate(CONFIGS):
+        assert main(["fredholm-bench", "--config", config, "--trials", "1",
+                     "--methods", "iDARR,DARTR,L2-direct",
+                     "--output-dir", str(tmp_path / str(i))]) == 0
+    assert len(eig_calls) == 2  # exp and poly, each under rho
+    assert main(["fredholm-bench", "--config", CONFIGS[-1], "--trials", "2",
+                 "--methods", "l2-direct", "--output-dir", str(tmp_path / "unit")]) == 0
+    assert len(eig_calls) == 3  # poly under unit weights
+
+
+def test_timing_sweep_factorizes_every_direct_solve(monkeypatch, eig_calls):
+    solves = []
+    dartr = cli.dartr_solve
+    monkeypatch.setattr(cli, "dartr_solve", lambda *a: solves.append(1) or dartr(*a))
+    cli.run_timing_sweep([20, 40], m=30, k_fixed=3, replicas=2)
+    assert solves and len(eig_calls) == len(solves)
 
 
 class TestTimingCommand:

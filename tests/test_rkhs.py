@@ -18,7 +18,9 @@ from idarr import (
     DegenerateColumnError,
     DenseMap,
     DimensionError,
+    DirectFactorization,
     GeometryError,
+    NumericalBreakdownError,
     RkhsGeometry,
     TrivialDataError,
     add_noise,
@@ -367,6 +369,35 @@ class TestDirectLadderReference:
         for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
             assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
         assert weighted.corner_index == plain.corner_index
+
+
+@pytest.mark.parametrize("solve", [
+    lambda b: dartr_solve(DenseMap(TOY_A), TOY_RHO, b),
+    lambda b: tikhonov_direct(DenseMap(TOY_A), b),
+], ids=["dartr", "tikhonov"])
+@pytest.mark.parametrize("b, error", [
+    ([1.0, np.nan], NumericalBreakdownError),
+    ([np.inf, 0.0], NumericalBreakdownError),
+    ([[1.0, 0.0]], DimensionError),
+    ([1.0, 0.0, 0.0], DimensionError),
+], ids=["nan", "inf", "2-d", "wrong-length"])
+def test_bad_data_rejected(solve, b, error):
+    with pytest.raises(error):
+        solve(np.array(b))
+
+
+def test_factorization_solves_repeatedly_like_the_one_shots(rng):
+    a = rng.standard_normal((40, 12))
+    rho = compute_exploration_weights(DenseMap(a))
+    dartr = DirectFactorization.dartr(DenseMap(a), rho)
+    tikhonov = DirectFactorization.tikhonov(DenseMap(a), rho, dartr.decomp)
+    for b in rng.standard_normal((3, 40)):
+        pairs = ((dartr.solve(b), dartr_solve(DenseMap(a), rho, b)),
+                 (tikhonov.solve(b), tikhonov_direct(DenseMap(a), b, weights=rho)))
+        for warm, cold in pairs:
+            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+                assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+            assert warm.corner_index == cold.corner_index
 
 
 @pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])
