@@ -8,7 +8,7 @@ Dense spectral baselines and a benchmark harness ride along.
 """
 
 from .arrayio import read_array, write_array
-from .bidiag import BidiagFactors, BidiagProcess, run_bidiag
+from .bidiag import BidiagProcess, run_bidiag
 from .errors import (
     DegenerateColumnError,
     DimensionError,

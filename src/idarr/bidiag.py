@@ -14,7 +14,7 @@ falls to roundoff scale, at which point the generated subspace is exhausted.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,39 +41,15 @@ class BidiagStep:
     reason: str | None = None
 
 
-@dataclass
-class BidiagFactors:
-    """Collected output of a full run.
+class BidiagProcess:
+    """Incremental bidiagonalization keeping O(n) state by default.
 
     alphas holds the diagonal couplings (alpha_1, alpha_2, ...) and betas
     the data-space couplings (beta_1 = data norm, beta_2, ...). U, Z, Zbar
-    hold the generated directions; Zbar[i] is the shadow K Z[i]. When the
-    run terminated, betas has one more entry than alphas (the closing
-    coupling, zero if the data-space direction vanished) and k_t is the
-    exhaustion step.
-    """
-
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    U: list = field(default_factory=list)
-    Z: list = field(default_factory=list)
-    Zbar: list = field(default_factory=list)
-    terminated: bool = False
-    k_t: int | None = None
-
-    def bidiagonal_matrix(self, k=None):
-        """The (k+1) x k lower bidiagonal coupling matrix."""
-        if k is None:
-            k = min(len(self.alphas), len(self.betas) - 1)
-        mat = np.zeros((k + 1, k))
-        for i in range(k):
-            mat[i, i] = self.alphas[i]
-            mat[i + 1, i] = self.betas[i + 1]
-        return mat
-
-
-class BidiagProcess:
-    """Incremental bidiagonalization keeping O(n) state by default.
+    hold the generated directions when vectors are kept; Zbar[i] is the
+    shadow K Z[i]. Once terminated, betas has one more entry than alphas
+    (the closing coupling, zero if the data-space direction vanished) and
+    k_t is the exhaustion step.
 
     Parameters
     ----------
@@ -87,17 +63,16 @@ class BidiagProcess:
     reorthogonalize : bool
         Re-project each new direction against all previous ones (twice,
         modified Gram-Schmidt). Implies keeping the full history.
-    keep_vectors : bool or None
-        Retain all generated vectors. Defaults to the value of
-        reorthogonalize.
+    keep_vectors : bool
+        Retain all generated vectors; reorthogonalize overrides False.
     """
 
-    def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=None):
+    def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=False):
         b = np.asarray(b, dtype=np.float64)
         self.linmap = linmap
         self.pinv_apply = pinv_apply if pinv_apply is not None else lambda p: p
         self.reorthogonalize = bool(reorthogonalize)
-        self.keep_vectors = self.reorthogonalize if keep_vectors is None else bool(keep_vectors)
+        self.keep_vectors = bool(keep_vectors or reorthogonalize)
 
         beta1 = _finite(float(np.linalg.norm(b)), "data norm beta_1")
         if beta1 == 0.0:
@@ -209,33 +184,27 @@ class BidiagProcess:
             self.Zbar.append(zbar_next)
         return BidiagStep(alpha_next, beta_next, z_next, zbar_next, False)
 
-    def factors(self):
-        return BidiagFactors(
-            alphas=list(self.alphas),
-            betas=list(self.betas),
-            U=list(self.U),
-            Z=list(self.Z),
-            Zbar=list(self.Zbar),
-            terminated=self.terminated,
-            k_t=self.k_t,
-        )
+    def bidiagonal_matrix(self, k=None):
+        """The (k+1) x k lower bidiagonal coupling matrix."""
+        if k is None:
+            k = min(len(self.alphas), len(self.betas) - 1)
+        mat = np.zeros((k + 1, k))
+        for i in range(k):
+            mat[i, i] = self.alphas[i]
+            mat[i + 1, i] = self.betas[i + 1]
+        return mat
 
 
 def run_bidiag(geom, b, max_steps, reorthogonalize=False):
-    """Run the adaptive-kernel process and collect all factors.
+    """Run the adaptive-kernel process and return it, vectors kept.
 
     Stops after max_steps advances or at subspace exhaustion, whichever
-    comes first. Vectors are always retained in the returned factors.
+    comes first.
     """
-    proc = BidiagProcess(
-        geom.linmap,
-        b,
-        pinv_apply=geom.apply_crkhs_pinv,
-        reorthogonalize=reorthogonalize,
-        keep_vectors=True,
-    )
+    proc = BidiagProcess(geom.linmap, b, pinv_apply=geom.apply_crkhs_pinv,
+                         reorthogonalize=reorthogonalize, keep_vectors=True)
     for _ in range(int(max_steps)):
         if proc.terminated:
             break
         proc.advance()
-    return proc.factors()
+    return proc

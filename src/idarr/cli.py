@@ -14,7 +14,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -58,7 +59,7 @@ RESULT_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
-    """The fredholm-bench settings; its fields are the config file's keys.
+    """The fredholm-bench settings; its fields are the config file's keys and its flags.
 
     A tuple field's metadata names the type of its comma-separated items.
     """
@@ -95,9 +96,13 @@ def _validate_config(cfg):
         raise UsageError(f"trials must be positive, got {cfg.trials}")
     if not cfg.nsr_ladder or any(not 0 < v < np.inf for v in cfg.nsr_ladder):
         raise UsageError(f"nsr ladder must be positive and finite, got {cfg.nsr_ladder}")
+    if len({f"{v:g}" for v in cfg.nsr_ladder}) < len(cfg.nsr_ladder):
+        raise UsageError(f"nsr ladder items must differ under %g, got {cfg.nsr_ladder}")
     unknown = [m for m in cfg.methods if m not in ALL_METHODS]
     if unknown:
         raise UsageError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
+    if len(set(cfg.methods)) < len(cfg.methods):
+        raise UsageError(f"methods must not repeat, got {list(cfg.methods)}")
     if cfg.stop_rule not in ("lcurve", "dp"):
         raise UsageError(f"stop_rule must be lcurve or dp, got {cfg.stop_rule!r}")
     if not 1.0 < cfg.tau < np.inf:
@@ -114,6 +119,16 @@ def _parse_field(f, text):
     if f.type is tuple:
         return tuple(f.metadata["item"](v.strip()) for v in text.split(",") if v.strip())
     return f.type(text)
+
+
+def _flag_type(f):
+    """An argparse type parsing a flag's text as field f's value."""
+    def parse(text):
+        try:
+            return _parse_field(f, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+    return parse
 
 
 def _format_field(f, value):
@@ -192,13 +207,6 @@ def _get_factored(kernel, m, n, method):
     return form(setup.linmap.entries, setup.geom.rho, setup.decomposition())
 
 
-def _make_stop(cfg_dict, problem):
-    if cfg_dict["stop_rule"] == "dp":
-        return Discrepancy(noise_norm=problem.noise_norm, tau=cfg_dict["tau"],
-                           max_iters=cfg_dict["max_iters"])
-    return LCurve(max_iters=cfg_dict["max_iters"])
-
-
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
     """Solve for b with the named method.
 
@@ -225,18 +233,20 @@ def run_method(method, linmap, geom, b, stop, factored=None, **kw):
     raise UsageError(f"unknown method {method!r}; choose from {list(ALL_METHODS)}")
 
 
-def run_bench_row(task):
-    """Run one (method, nsr, trial) cell; returns the row dict and solution."""
-    setup = _get_setup(task["kernel"], task["m"], task["n"])
-    x_true = _get_truth(task["kernel"], task["m"], task["n"], task["truth"])
-    problem = add_noise(clean_problem(setup, x_true), task["nsr"], task["seed"])
-    method = task["method"]
+def run_bench_row(cfg, method, nsr, trial):
+    """Run one (method, nsr, trial) cell of cfg; returns the row dict, extras and solution."""
+    seed = row_seed(cfg.seed_base, method, nsr, trial)
+    setup = _get_setup(cfg.kernel, cfg.m, cfg.n)
+    x_true = _get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth)
+    problem = add_noise(clean_problem(setup, x_true), nsr, seed)
     geom = problem.geom
     iterative = method in ITERATIVE_METHODS
-    stop = _make_stop(task, problem) if iterative else None
+    stop = None
+    if iterative:
+        stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
+                if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))
     # factored once per process, so a direct row times only its ladder solve
-    factored = (None if iterative
-                else _get_factored(task["kernel"], task["m"], task["n"], method))
+    factored = None if iterative else _get_factored(cfg.kernel, cfg.m, cfg.n, method)
     t0 = time.perf_counter()
     result = run_method(method, problem.linmap, geom, problem.b, stop, factored)
     elapsed = time.perf_counter() - t0
@@ -245,8 +255,8 @@ def run_bench_row(task):
     if iterative:
         k_stop = result.k_stop
         residuals = [rec.residual for rec in result.history]
-        k_dp = dp_stop(residuals, problem.noise_norm, task["tau"])
-        if task["stop_rule"] == "lcurve":
+        k_dp = dp_stop(residuals, problem.noise_norm, cfg.tau)
+        if cfg.stop_rule == "lcurve":
             extras = {"k_lcurve": k_stop, "k_dp": k_dp,
                       "weak_corner": int(result.weak_corner)}
         else:
@@ -258,14 +268,14 @@ def run_bench_row(task):
     res = problem.linmap.apply(x) - problem.b
     row = {
         "method": method,
-        "nsr": f"{task['nsr']:g}",
-        "trial": task["trial"],
+        "nsr": f"{nsr:g}",
+        "trial": trial,
         "k_stop": k_stop,
         "l2rho_error": f"{err:.17g}",
         "relative_error": f"{err / truth_norm:.17g}",
         "loss": f"{float(res @ res):.17g}",
         "wall_time_ms": f"{elapsed * 1e3:.3f}",
-        "seed": task["seed"],
+        "seed": seed,
     }
     return row, extras, x
 
@@ -287,35 +297,18 @@ def cmd_fredholm_bench(args):
     if args.config:
         cfg = load_config(args.config, cfg)
     for f in fields(cfg):
-        value = getattr(args, f.name)
-        if value is None:
-            continue
-        if f.type is tuple:
-            # argparse has typed the scalars; the lists arrive as text
-            try:
-                value = _parse_field(f, value)
-            except ValueError as exc:
-                raise UsageError(f"bad {f.name} {value!r}: {exc}") from None
-        setattr(cfg, f.name, value)
+        if getattr(args, f.name) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     _validate_config(cfg)
 
-    tasks = []
-    for method in cfg.methods:
-        for nsr in cfg.nsr_ladder:
-            for trial in range(1, cfg.trials + 1):
-                tasks.append({
-                    "kernel": cfg.kernel, "m": cfg.m, "n": cfg.n, "truth": cfg.truth,
-                    "method": method, "nsr": nsr, "trial": trial,
-                    "seed": row_seed(cfg.seed_base, method, nsr, trial),
-                    "stop_rule": cfg.stop_rule, "tau": cfg.tau,
-                    "max_iters": cfg.max_iters,
-                })
+    cells = list(product(cfg.methods, cfg.nsr_ladder, range(1, cfg.trials + 1)))
+    run_cell = partial(run_bench_row, cfg)
     workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_bench_row, tasks, chunksize=4))
+            outcomes = list(pool.map(run_cell, *zip(*cells), chunksize=4))
     else:
-        outcomes = [run_bench_row(t) for t in tasks]
+        outcomes = [run_cell(*cell) for cell in cells]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     sol_dir = os.path.join(cfg.output_dir, "solutions")
@@ -346,13 +339,12 @@ def cmd_fredholm_bench(args):
         writer = csv.writer(fh)
         writer.writerow(["method", "nsr", "count", "median", "q1", "q3",
                          "whisker_lo", "whisker_hi", "n_outliers"])
-        for method in cfg.methods:
-            for nsr in cfg.nsr_ladder:
-                vals = [float(row["l2rho_error"]) for (row, _, _), task in zip(outcomes, tasks)
-                        if row["method"] == method and task["nsr"] == nsr]
-                writer.writerow([method, f"{nsr:g}", *_boxplot_row(vals)])
+        for method, nsr in product(cfg.methods, (f"{v:g}" for v in cfg.nsr_ladder)):
+            vals = [float(row["l2rho_error"]) for row, _, _ in outcomes
+                    if row["method"] == method and row["nsr"] == nsr]
+            writer.writerow([method, nsr, *_boxplot_row(vals)])
 
-    print(f"wrote {len(tasks)} rows to {os.path.join(cfg.output_dir, 'results.csv')}")
+    print(f"wrote {len(cells)} rows to {os.path.join(cfg.output_dir, 'results.csv')}")
     return 0
 
 
@@ -377,51 +369,36 @@ def run_timing_sweep(n_ladder, m=500, k_fixed=10, replicas=25, seed=0):
         x_true = true_solution(setup, "out-of-range")
         problems[n] = add_noise(clean_problem(setup, x_true), 0.05, seed + n)
     stop = FixedIters(k_fixed)
+    solvers = (  # looked up by module name at call time
+        ("iDARR", replicas, lambda p: idarr_solve(p.geom, p.b, stop)),
+        ("DARTR", max(3, replicas // 5), lambda p: dartr_solve(p.linmap, p.geom.rho, p.b)),
+    )
     for problem in problems.values():
-        idarr_solve(problem.geom, problem.b, stop)
-        dartr_solve(problem.linmap, problem.geom.rho, problem.b)
+        for _, _, solve in solvers:
+            solve(problem)
     rows = []
     best = {}
     order = list(n_ladder)
     shuffler = random.Random(seed)
-    direct_rounds = max(3, replicas // 5)
     gc.disable()
     try:
-        for rep in range(replicas):
-            shuffler.shuffle(order)
-            for n in order:
-                problem = problems[n]
-                t0 = time.perf_counter()
-                idarr_solve(problem.geom, problem.b, stop)
-                ms = (time.perf_counter() - t0) * 1e3
-                rows.append(("iDARR", n, rep + 1, ms))
-                key = ("iDARR", n)
-                best[key] = min(best.get(key, ms), ms)
-        for rep in range(direct_rounds):
-            shuffler.shuffle(order)
-            for n in order:
-                problem = problems[n]
-                t0 = time.perf_counter()
-                dartr_solve(problem.linmap, problem.geom.rho, problem.b)
-                ms = (time.perf_counter() - t0) * 1e3
-                rows.append(("DARTR", n, rep + 1, ms))
-                key = ("DARTR", n)
-                best[key] = min(best.get(key, ms), ms)
+        for name, rounds, solve in solvers:
+            for rep in range(1, rounds + 1):
+                shuffler.shuffle(order)
+                for n in order:
+                    problem = problems[n]
+                    t0 = time.perf_counter()
+                    solve(problem)
+                    ms = (time.perf_counter() - t0) * 1e3
+                    rows.append((name, n, rep, ms))
+                    best[name, n] = min(best.get((name, n), ms), ms)
     finally:
         gc.enable()
     return rows, best
 
 
 def cmd_timing(args):
-    for flag, value in (("k-fixed", args.k_fixed), ("replicas", args.replicas), ("m", args.m)):
-        if value <= 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
-    try:
-        ladder = [int(v) for v in args.n_ladder.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad n-ladder {args.n_ladder!r}") from None
-    if not ladder or any(v <= 0 for v in ladder):
-        raise UsageError(f"n-ladder must be positive integers, got {args.n_ladder!r}")
+    ladder = args.n_ladder
     os.makedirs(args.output_dir, exist_ok=True)
     rows, best = run_timing_sweep(
         ladder, m=args.m, k_fixed=args.k_fixed, replicas=args.replicas, seed=args.seed
@@ -496,7 +473,7 @@ def _parse_stop_flag(spec, max_iters):
     kind, _, rest = spec.partition(":")
     try:
         if spec == "lcurve":
-            return LCurve(max_iters=max(max_iters, 10))
+            return LCurve(max_iters=max_iters)
         if kind == "dp":
             noise, _, tau = rest.partition(":")
             return Discrepancy(noise_norm=float(noise), tau=float(tau or 1.01),
@@ -544,10 +521,7 @@ def cmd_solve(args):
 
 def cmd_oracle_check(args):
     m, n, steps = args.m, args.n, args.steps
-    for flag, value in (("m", m), ("n", n), ("steps", steps)):
-        if value <= 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
-    if not 0 <= args.rank <= min(m, n):
+    if args.rank > min(m, n):
         raise UsageError(f"rank must be in 0..{min(m, n)} (0 for the default), got {args.rank}")
     rank = args.rank or max(min(m, n) // 2, 1)
     rng = np.random.default_rng(args.seed)
@@ -587,10 +561,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text):  # numpy's generators take only nonnegative seeds
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
-    return int(text)
+def _ints(low, many=False):
+    """An argparse type: an integer of at least low, or with many a comma list of them."""
+    def parse(text):
+        try:
+            values = [int(v) for v in (text.split(",") if many else [text]) if v.strip()]
+        except ValueError:
+            values = []
+        if not values or min(values) < low:
+            raise argparse.ArgumentTypeError(f"expected integers of at least {low}, got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
+_NONNEGATIVE = _ints(0)  # seeds: numpy's generators take no negative ones
+_POSITIVE = _ints(1)
 
 
 def build_parser():
@@ -609,26 +594,17 @@ def build_parser():
 
     p = sub.add_parser("fredholm-bench", help="noise-ladder benchmark on integral equations")
     p.add_argument("--config", help="key=value config file ([experiment] section)")
-    p.add_argument("--kernel", choices=("exp", "poly"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--truth")
-    p.add_argument("--nsr-ladder", dest="nsr_ladder")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--methods")
-    p.add_argument("--stop-rule", dest="stop_rule", choices=("lcurve", "dp"))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--seed-base", dest="seed_base", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+    for f in fields(ExperimentConfig):  # each flag overrides its config key
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_flag_type(f))
     p.set_defaults(func=cmd_fredholm_bench)
 
     p = sub.add_parser("timing", help="wall-time scaling of the iterative and direct solvers")
-    p.add_argument("--n-ladder", dest="n_ladder", default="200,400,800")
-    p.add_argument("--m", type=int, default=500)
-    p.add_argument("--k-fixed", dest="k_fixed", type=int, default=10)
-    p.add_argument("--replicas", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=7)
+    p.add_argument("--n-ladder", dest="n_ladder", type=_ints(1, many=True),
+                   default="200,400,800")
+    p.add_argument("--m", type=_POSITIVE, default=500)
+    p.add_argument("--k-fixed", dest="k_fixed", type=_POSITIVE, default=10)
+    p.add_argument("--replicas", type=_POSITIVE, default=10)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=7)
     p.add_argument("--output-dir", dest="output_dir", default="results")
     p.set_defaults(func=cmd_timing)
 
@@ -639,16 +615,16 @@ def build_parser():
     p.add_argument("--nsr", type=float, default=0.01)
     p.add_argument("--method", default="iDARR", choices=ITERATIVE_METHODS)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=60)
-    p.add_argument("--seed", type=_seed, default=11)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=11)
     p.add_argument("--output-dir", dest="output_dir", default="deblur_out")
     p.set_defaults(func=cmd_deblur)
 
     p = sub.add_parser("oracle-check", help="verify structural properties on random instances")
-    p.add_argument("--m", type=int, default=30)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=3)
+    p.add_argument("--m", type=_POSITIVE, default=30)
+    p.add_argument("--n", type=_POSITIVE, default=20)
+    p.add_argument("--rank", type=_NONNEGATIVE, default=0)
+    p.add_argument("--steps", type=_POSITIVE, default=20)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=3)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

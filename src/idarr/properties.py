@@ -56,12 +56,12 @@ def rank_deficient_instance(rng, m, n, rank):
     return make_geometry(DenseMap(a)), rng.standard_normal(m)
 
 
-def orthonormality_loss(factors):
-    """(max|U'U - I|, max|Z'Zbar - I|) of bidiagonalization factors."""
-    u = np.column_stack(factors.U)
+def orthonormality_loss(proc):
+    """(max|U'U - I|, max|Z'Zbar - I|) of a bidiagonalization that kept its vectors."""
+    u = np.column_stack(proc.U)
     u_dev = float(np.abs(u.T @ u - np.eye(u.shape[1])).max())
-    z = np.column_stack(factors.Z)
-    zbar = np.column_stack(factors.Zbar)
+    z = np.column_stack(proc.Z)
+    zbar = np.column_stack(proc.Zbar)
     pair_dev = float(np.abs(z.T @ zbar - np.eye(z.shape[1])).max())
     return u_dev, pair_dev
 

@@ -27,7 +27,7 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
-from idarr.cli import row_seed, run_bench_row, run_timing_sweep
+from idarr.cli import ExperimentConfig, run_bench_row, run_timing_sweep
 from idarr.properties import (
     gaussian_instance,
     multiplicity_instance,
@@ -47,24 +47,13 @@ TRIALS = 20
 def _run_ladder(kernel):
     """20-trial noise ladder for both iterative solvers; returns rows+extras."""
     t0 = time.perf_counter()
+    cfg = ExperimentConfig(kernel=kernel, m=500, n=100, truth="in-range", stop_rule="lcurve",
+                           tau=1.01, max_iters=30, seed_base=1)
     rows = []
     for method in ("iDARR", "IR-l2"):
         for nsr in NOISE_LADDER:
             for trial in range(TRIALS):
-                task = dict(
-                    kernel=kernel,
-                    m=500,
-                    n=100,
-                    truth="in-range",
-                    method=method,
-                    nsr=nsr,
-                    trial=trial,
-                    stop_rule="lcurve",
-                    tau=1.01,
-                    max_iters=30,
-                    seed=row_seed(1, method, nsr, trial),
-                )
-                row, extras, _ = run_bench_row(task)
+                row, extras, _ = run_bench_row(cfg, method, nsr, trial)
                 rows.append((row, extras))
     return rows, time.perf_counter() - t0
 

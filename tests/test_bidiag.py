@@ -25,7 +25,7 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
-from idarr.properties import orthonormality_loss
+from idarr.properties import gaussian_instance, orthonormality_loss
 
 TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])
@@ -296,11 +296,10 @@ class TestClassicalReduction:
         proc = BidiagProcess(DenseMap(a), b, keep_vectors=True)
         for _ in range(k):
             proc.advance()
-        factors = proc.factors()
-        np.testing.assert_allclose(factors.alphas[:k], alpha[:k], rtol=1e-11)
-        np.testing.assert_allclose(factors.betas[:k], beta[:k], rtol=1e-11)
+        np.testing.assert_allclose(proc.alphas[:k], alpha[:k], rtol=1e-11)
+        np.testing.assert_allclose(proc.betas[:k], beta[:k], rtol=1e-11)
         for i in range(k):
-            np.testing.assert_allclose(factors.Z[i], w_ref[i], atol=1e-10)
+            np.testing.assert_allclose(proc.Z[i], w_ref[i], atol=1e-10)
 
 
 class TestStateManagement:
@@ -318,6 +317,15 @@ class TestStateManagement:
         proc = BidiagProcess(geom.linmap, np.array([1.0, 1.0]),
                              pinv_apply=geom.apply_crkhs_pinv, reorthogonalize=True)
         assert proc.keep_vectors is True
+
+    def test_reorthogonalize_overrides_keep_vectors_false(self, rng):
+        geom, b = gaussian_instance(rng, 60, 40)
+        proc = BidiagProcess(geom.linmap, b, pinv_apply=geom.apply_crkhs_pinv,
+                             reorthogonalize=True, keep_vectors=False)
+        for _ in range(30):
+            proc.advance()
+        assert proc.keep_vectors is True
+        assert max(orthonormality_loss(proc)) < 1e-10
 
     def test_coupling_matrix_frozen_toy(self):
         geom = toy_geom()

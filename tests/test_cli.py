@@ -4,6 +4,7 @@ handling, and reproducibility of the benchmark artifacts."""
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestSolveCommand:
         args = ["solve", "--operator", desc, "--data", data, "--out", str(out)]
         for extra in (["dp:abc"], ["fixed:0"], ["simplex"], ["dp:1:0.5"], ["dp:-1"],
                       ["dp:nan"], ["dp:inf"], ["dp:0.1:nan"], ["dp:0.1:inf"],
-                      ["dp:0.1", "--max-iters", "0"]):
+                      ["dp:0.1", "--max-iters", "0"], ["lcurve", "--max-iters", "3"]):
             assert main(args + ["--stop"] + extra) == 1, extra
             assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
@@ -244,6 +245,23 @@ class TestBenchCommand:
 
     def test_invalid_method_is_usage_error(self, tmp_path):
         assert self.run_bench(tmp_path / "res", ["--methods", "iDARR,magic"]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("methods", "iDARR,iDARR"), ("nsr_ladder", "0.5,0.5"),
+        ("nsr_ladder", "0.1234567,0.1234568"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_colliding_cells_are_usage_error(self, tmp_path, capsys, key, value, source):
+        # such cells would share their nsr text, seed and solution file name
+        out = tmp_path / "res"
+        if source == "flag":
+            argv = ["--" + key.replace("_", "-"), value]
+        else:
+            (tmp_path / "exp.cfg").write_text(f"[experiment]\n{key} = {value}\n")
+            argv = ["--config", str(tmp_path / "exp.cfg")]
+        assert main(["fredholm-bench", *argv, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
 
 
 CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
@@ -507,6 +525,43 @@ class TestConfigHandling:
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["fredholm-bench", "--config", str(tmp_path / "no.cfg")]) == 2
+
+
+# flag text and parsed value for every key, each unlike the base config's
+FLAG_VALUES = {
+    "kernel": ("poly", "poly"), "m": ("50", 50), "n": ("16", 16),
+    "truth": ("out-of-range", "out-of-range"),
+    "nsr_ladder": ("0.25,0.125", (0.25, 0.125)), "trials": ("2", 2),
+    "methods": ("IR-l2,DARTR", ("IR-l2", "DARTR")), "stop_rule": ("dp", "dp"),
+    "tau": ("1.5", 1.5), "max_iters": ("11", 11), "seed_base": ("5", 5),
+    "output_dir": ("elsewhere", "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_each_flag_overrides_its_config_key(key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = ExperimentConfig(kernel="exp", m=60, n=20, nsr_ladder=(0.5,), trials=1,
+                            methods=("iDARR",), max_iters=12, output_dir="base")
+    write_config(base, "base.cfg")
+    text, value = FLAG_VALUES[key]
+    assert main(["fredholm-bench", "--config", "base.cfg", "--" + key.replace("_", "-"),
+                 text]) == 0
+    used = load_config(os.path.join(value if key == "output_dir" else "base",
+                                    "config_used.cfg"))
+    assert getattr(used, key) == value != getattr(base, key)
+    for other in fields(ExperimentConfig):
+        if other.name != key:
+            assert getattr(used, other.name) == getattr(base, other.name), other.name
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "ten"), ("--tau", "steep"), ("--nsr-ladder", "0.5,abc"), ("--trials", "1.5"),
+])
+def test_bad_bench_flag_message_names_flag_and_value(flag, value, capsys):
+    assert main(["fredholm-bench", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err and "<lambda>" not in err
 
 
 class TestRowSeeds:
