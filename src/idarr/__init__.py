@@ -40,11 +40,9 @@ from .problems import (
     clean_problem,
     l2rho_error,
     load_operator,
-    load_problem,
     make_deblur,
     make_fredholm,
     save_operator,
-    save_problem,
     synthetic_image,
     true_solution,
 )

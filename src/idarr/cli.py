@@ -98,6 +98,8 @@ def _validate_config(cfg):
         raise UsageError(f"nsr ladder must be positive and finite, got {cfg.nsr_ladder}")
     if len({f"{v:g}" for v in cfg.nsr_ladder}) < len(cfg.nsr_ladder):
         raise UsageError(f"nsr ladder items must differ under %g, got {cfg.nsr_ladder}")
+    if not cfg.methods:
+        raise UsageError("methods must name at least one method")
     unknown = [m for m in cfg.methods if m not in ALL_METHODS]
     if unknown:
         raise UsageError(f"unknown methods {unknown}; choose from {list(ALL_METHODS)}")
@@ -177,12 +179,15 @@ def row_seed(seed_base, method, nsr, trial):
 
 
 def _worker_count():
+    """Benchmark worker processes: IDARR_THREADS (default 1), at most the core count."""
     raw = os.environ.get("IDARR_THREADS", "1")
     try:
         count = int(raw)
     except ValueError:
-        raise UsageError(f"IDARR_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
+        count = 0
+    if count < 1:
+        raise UsageError(f"IDARR_THREADS must be a positive integer, got {raw!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 # -- benchmark rows ----------------------------------------------------------
@@ -348,7 +353,7 @@ def cmd_fredholm_bench(args):
     return 0
 
 
-def run_timing_sweep(n_ladder, m=500, k_fixed=10, replicas=25, seed=0):
+def run_timing_sweep(n_ladder, m, k_fixed, replicas, seed):
     """Interleaved wall-time sweep of the iterative and direct solvers.
 
     Millisecond-scale solves are dominated by scheduler and cache noise,
@@ -562,7 +567,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(low, many=False):
-    """An argparse type: an integer of at least low, or with many a comma list of them."""
+    """An argparse type: an integer of at least low, or with many a comma list of distinct ones."""
     def parse(text):
         try:
             values = [int(v) for v in (text.split(",") if many else [text]) if v.strip()]
@@ -570,6 +575,8 @@ def _ints(low, many=False):
             values = []
         if not values or min(values) < low:
             raise argparse.ArgumentTypeError(f"expected integers of at least {low}, got {text!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"items must not repeat, got {text!r}")
         return values if many else values[0]
     return parse
 

@@ -258,21 +258,14 @@ def build_fredholm_map(kernel, m, n, s_range=(1.0, 5.0), t_range=(0.0, 5.0)):
     ds = (b - a) / n
     s = a + ds * np.arange(1, n + 1)
     t = c + (d - c) / m * np.arange(1, m + 1)
-    if callable(kernel):
-        kfun = kernel
-    else:
-        try:
-            kfun = KERNELS[kernel]
-        except KeyError:
-            raise KernelEvaluationError(f"unknown kernel id {kernel!r}") from None
+    try:
+        kfun = KERNELS[kernel]
+    except KeyError:
+        raise KernelEvaluationError(f"unknown kernel id {kernel!r}") from None
     # Overflow to inf is reported as KernelEvaluationError below, so the
     # intermediate floating-point warning carries no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(kfun(t, s), dtype=np.float64)
-    if values.shape != (m, n):
-        raise KernelEvaluationError(
-            f"kernel evaluated to shape {values.shape}, expected {(m, n)}"
-        )
+        values = kfun(t, s)
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(values))[0]
         raise KernelEvaluationError(

@@ -45,12 +45,11 @@ class FredholmSetup:
         return self._decomp
 
 
-def make_fredholm(kernel="exp", m=500, n=100, s_range=S_RANGE, t_range=T_RANGE):
-    linmap, s, t = build_fredholm_map(kernel, m, n, s_range, t_range)
+def make_fredholm(kernel="exp", m=500, n=100):
+    linmap, s, t = build_fredholm_map(kernel, m, n, S_RANGE, T_RANGE)
     geom = make_geometry(linmap)
-    dt = (t_range[1] - t_range[0]) / m
-    name = kernel if isinstance(kernel, str) else getattr(kernel, "__name__", "custom")
-    return FredholmSetup(linmap=linmap, geom=geom, s=s, t=t, dt=dt, kernel=name)
+    dt = (T_RANGE[1] - T_RANGE[0]) / m
+    return FredholmSetup(linmap=linmap, geom=geom, s=s, t=t, dt=dt, kernel=kernel)
 
 
 def true_solution(setup, kind="in-range"):
@@ -145,7 +144,7 @@ def synthetic_image(kind, side):
     raise ValueError(f"unknown synthetic image kind {kind!r}")
 
 
-def _resolve_image(image, side=None):
+def _resolve_image(image):
     if isinstance(image, np.ndarray):
         img = np.asarray(image, dtype=np.float64)
         if img.max() > 1.0:
@@ -159,8 +158,6 @@ def _resolve_image(image, side=None):
         raise IoError(f"cannot interpret image spec {image!r}")
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise DimensionError(f"image must be square, got shape {img.shape}")
-    if side is not None and img.shape[0] != side:
-        raise DimensionError(f"image side {img.shape[0]} != requested {side}")
     return img
 
 
@@ -198,7 +195,7 @@ def _resolve_psf(psf, side):
     return kernel
 
 
-def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
+def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0):
     """Square-image deblurring problem with zero boundary.
 
     The observation grid carries unit weight per pixel, so dt = 1/m here
@@ -206,7 +203,7 @@ def make_deblur(image, psf="gaussian:2", nsr=0.01, seed=0, side=None):
     the relative noise magnitude, the usual convention for image data.
     A kernel wider than 2 * side - 1 pixels raises ValueError.
     """
-    img = _resolve_image(image, side)
+    img = _resolve_image(image)
     n_side = img.shape[0]
     linmap = PsfConvolutionMap(n_side, _resolve_psf(psf, n_side))
     geom = make_geometry(linmap)
@@ -250,6 +247,11 @@ def save_operator(linmap, dirpath, name="operator"):
 
 
 def load_operator(desc_path):
+    """The operator that a save_operator descriptor describes.
+
+    An unreadable descriptor or payload, a missing or bad field, and a
+    payload of the wrong shape for its kind all raise IoError.
+    """
     try:
         with open(desc_path, "r", encoding="utf-8") as fh:
             desc = json.load(fh)
@@ -257,58 +259,20 @@ def load_operator(desc_path):
         raise IoError(f"cannot read operator descriptor {desc_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(f"{desc_path}: malformed descriptor: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise IoError(f"{desc_path}: descriptor must be a JSON object")
     base = os.path.dirname(os.path.abspath(desc_path))
     kind = desc.get("kind")
-    if kind == "dense":
-        entries = read_array(os.path.join(base, desc["entries"]))
-        return DenseMap(entries)
-    if kind == "diagonal":
-        return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
-    if kind == "psf":
-        psf = read_psf_text(os.path.join(base, desc["psf"]))
-        return PsfConvolutionMap(int(desc["side"]), psf)
-    raise IoError(f"{desc_path}: unknown operator kind {kind!r}")
-
-
-def save_problem(problem, dirpath):
-    os.makedirs(dirpath, exist_ok=True)
-    save_operator(problem.linmap, dirpath)
-    write_array(os.path.join(dirpath, "x_true.bin"), problem.x_true)
-    write_array(os.path.join(dirpath, "b_clean.bin"), problem.b_clean)
-    write_array(os.path.join(dirpath, "b.bin"), problem.b)
-    write_array(os.path.join(dirpath, "rho.bin"), problem.geom.rho)
-    meta = {
-        "sigma": problem.sigma,
-        "dt": problem.dt,
-        "nsr": problem.nsr,
-        "seed": problem.seed,
-    }
-    with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
-
-
-def load_problem(dirpath):
-    desc_path = os.path.join(dirpath, "operator.json")
-    linmap = load_operator(desc_path)
     try:
-        with open(os.path.join(dirpath, "meta.json"), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read problem metadata in {dirpath}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{dirpath}/meta.json: malformed metadata: {exc}") from exc
-    rho = read_array(os.path.join(dirpath, "rho.bin"))
-    geom = RkhsGeometry(linmap, rho)
-    return TestProblem(
-        linmap=linmap,
-        geom=geom,
-        x_true=read_array(os.path.join(dirpath, "x_true.bin")),
-        b_clean=read_array(os.path.join(dirpath, "b_clean.bin")),
-        b=read_array(os.path.join(dirpath, "b.bin")),
-        sigma=float(meta["sigma"]),
-        dt=float(meta["dt"]),
-        nsr=float(meta["nsr"]),
-        seed=meta.get("seed"),
-    )
-
+        if kind == "dense":
+            return DenseMap(read_array(os.path.join(base, desc["entries"])))
+        if kind == "diagonal":
+            return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
+        if kind == "psf":
+            psf = read_psf_text(os.path.join(base, desc["psf"]))
+            return PsfConvolutionMap(int(desc["side"]), psf)
+    except KeyError as exc:
+        raise IoError(f"{desc_path}: {kind} descriptor has no {exc} field") from None
+    except (TypeError, ValueError, OverflowError, DimensionError) as exc:
+        raise IoError(f"{desc_path}: bad {kind} descriptor: {exc}") from None
+    raise IoError(f"{desc_path}: unknown operator kind {kind!r}")

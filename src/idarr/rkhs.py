@@ -20,7 +20,6 @@ from .errors import (DegenerateColumnError, DimensionError, GeometryError,
                      NumericalBreakdownError, TrivialDataError)
 from .linops import LinearMap
 
-_LOG_FLOOR = 1e-300  # clamp before taking logs so zero residuals stay finite
 N_LAMBDAS = 64  # points on the regularization-strength ladder of the direct solvers
 
 
@@ -145,20 +144,6 @@ class DirectResult:
     weak_corner: bool = False
 
 
-def _select_corner(residual_sq, penalty_sq):
-    # curve ordered so residual decreases; corner logic shared with the
-    # iterative selection rule
-    from .solver import lcurve_corner
-
-    pts = list(
-        zip(
-            np.log(np.maximum(residual_sq, _LOG_FLOOR)),
-            np.log(np.maximum(penalty_sq, _LOG_FLOOR)),
-        )
-    )
-    return lcurve_corner(pts)
-
-
 def _lambda_grid(lam_max, lam_min):
     # The ladder spans the spectrum and extends a few decades below its
     # smallest positive value: for well-conditioned systems the best
@@ -244,7 +229,9 @@ class DirectFactorization:
         res = path @ a.T - b
         residual_sq = np.einsum("ij,ij->i", res, res)
         penalty_sq = np.einsum("ij,ij->i", y, y)
-        corner, weak = _select_corner(residual_sq, penalty_sq)
+        from .solver import select_corner  # solver imports this module
+
+        corner, weak = select_corner(residual_sq, penalty_sq)
         return DirectResult(
             x=path[corner].copy(),
             lam=float(lambdas[corner]),

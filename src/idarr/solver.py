@@ -10,7 +10,6 @@ crossing; running past the corner lets the iterates drift toward the noisy
 terminal solution, which is exactly what the rules are there to prevent.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,9 @@ from .bidiag import BidiagProcess
 from .errors import InsufficientHistoryError
 from .rkhs import RkhsGeometry
 
-_LOG_FLOOR = 1e-300
+_LOG_FLOOR = 1e-300  # clamp before taking logs so a zero residual or norm stays finite
+CORNER_SCALE_FRAC = 0.05  # arc-length stencil of polyline_bends, as a fraction of the curve
+CORNER_TIE_FRAC = 0.8  # bends within this fraction of the sharpest tie with it
 
 
 # -- stopping rules ----------------------------------------------------------
@@ -67,11 +68,8 @@ class LCurve(StoppingRule):
     def select(self, history, terminated):
         if len(history) < 3:
             return len(history), True, True
-        pts = [
-            (np.log(max(rec.residual, _LOG_FLOOR)), np.log(max(rec.penalty_norm, _LOG_FLOOR)))
-            for rec in history
-        ]
-        idx, weak = lcurve_corner(pts)
+        idx, weak = select_corner([rec.residual for rec in history],
+                                  [rec.penalty_norm for rec in history])
         return history[idx].k, True, weak
 
 
@@ -121,7 +119,7 @@ class FixedIters(StoppingRule):
 # -- corner and discrepancy selection ----------------------------------------
 
 
-def polyline_bends(pts, scale_frac=0.05):
+def polyline_bends(pts):
     """Signed curvature of each interior vertex at a fixed arc-length scale.
 
     Iterative solvers stall for stretches of iterations, emitting runs of
@@ -131,8 +129,8 @@ def polyline_bends(pts, scale_frac=0.05):
     always out-curve large ones because three-point curvature is inversely
     proportional to the local chord. Measuring every vertex at one common
     scale removes both artifacts: the stencil for vertex i is the pair of
-    points at arc distance h = scale_frac * total_length before and after
-    it along the polyline, and the bend is the inverse radius of the
+    points at arc distance h = CORNER_SCALE_FRAC * total_length before and
+    after it along the polyline, and the bend is the inverse radius of the
     circle circumscribing (back, vertex, ahead), signed positive for a
     clockwise turn (moving left, then up). Returns the bend array for
     vertices 1..len-2, zeros when the curve has no usable extent.
@@ -142,7 +140,7 @@ def polyline_bends(pts, scale_frac=0.05):
     total = float(cum[-1])
     if total <= 0.0:
         return np.zeros(pts.shape[0] - 2)
-    h = scale_frac * total
+    h = CORNER_SCALE_FRAC * total
     here = pts[1:-1]
     # the stencil points back and ahead of every interior vertex at once,
     # interpolated along the polyline; a zero-length segment yields its start
@@ -163,7 +161,7 @@ def polyline_bends(pts, scale_frac=0.05):
     return np.where(curved, -2.0 * cross / np.where(curved, abc, 1.0), 0.0)
 
 
-def lcurve_corner(points, scale_frac=0.05, tie_frac=0.8):
+def lcurve_corner(points):
     """Index of maximal discrete curvature on a log-log polyline.
 
     points is a sequence of (log_residual, log_norm) pairs ordered so the
@@ -171,10 +169,10 @@ def lcurve_corner(points, scale_frac=0.05, tie_frac=0.8):
     norm (log below the clamp floor) are pruned, then every interior
     vertex gets a three-point circumscribed-circle curvature measured at a
     common arc-length scale (see polyline_bends). The corner is the vertex
-    of maximal clockwise bend; vertices whose bend reaches tie_frac of the
-    maximum count as ties, and ties resolve to the smallest index, so a
-    curve with several comparably sharp corners yields the earliest one
-    (the lower-left preference). Returns (index, weak) where weak flags a
+    of maximal clockwise bend; vertices whose bend reaches CORNER_TIE_FRAC
+    of the maximum count as ties, and ties resolve to the smallest index,
+    so a curve with several comparably sharp corners yields the earliest
+    one (the lower-left preference). Returns (index, weak) where weak flags a
     selection made without a genuine positive bend (near-collinear data).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -191,14 +189,26 @@ def lcurve_corner(points, scale_frac=0.05, tie_frac=0.8):
     sub = pts[start:]
     if sub.shape[0] < 3:
         return pts.shape[0] - 1, True
-    bend = polyline_bends(sub, scale_frac)
+    bend = polyline_bends(sub)
     best = int(np.argmax(bend))
     if bend[best] <= 1e-12:
         # No genuine clockwise corner: the curve never turned toward a
         # noise floor, so the least-regularized end is the defensible pick.
         return pts.shape[0] - 1, True
-    near = np.flatnonzero(bend >= tie_frac * bend[best])
+    near = np.flatnonzero(bend >= CORNER_TIE_FRAC * bend[best])
     return start + 1 + int(near[0]), False
+
+
+def select_corner(residuals, penalties):
+    """lcurve_corner of a regularization path: (index, weak).
+
+    residuals and penalties are the path's norms, or both its squared
+    norms, ordered so the residual does not increase. Each is clamped at
+    _LOG_FLOOR before its log is taken. The iterative corner rule (LCurve)
+    and the direct ladders (DirectFactorization.solve) both select here.
+    """
+    pts = np.log(np.maximum(np.column_stack((residuals, penalties)), _LOG_FLOOR))
+    return lcurve_corner(pts)
 
 
 def dp_stop(residuals, noise_norm, tau):
@@ -269,7 +279,6 @@ class IterationRecord:
     k: int
     residual: float
     penalty_norm: float
-    seconds: float
 
 
 @dataclass
@@ -304,11 +313,8 @@ class SolveResult:
         return self.history[self.k_stop - 1].penalty_norm if self.k_stop else None
 
 
-def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=None):
-    if store_iterates is False and stop.needs_iterates:
-        raise ValueError(f"{type(stop).__name__} selection needs retained iterates")
-    store_iterates = bool(store_iterates) or stop.needs_iterates
-    t0 = time.perf_counter()
+def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=False):
+    store_iterates = store_iterates or stop.needs_iterates
     proc = BidiagProcess(linmap, b, pinv_apply=pinv_apply, reorthogonalize=reorthogonalize)
     if proc.terminated:
         # nothing explorable: the zero vector already minimizes the residual
@@ -329,10 +335,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
     while state.steps < stop.budget:
         step = proc.advance()
         residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
-        history.append(
-            IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq)),
-                            time.perf_counter() - t0)
-        )
+        history.append(IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq))))
         if store_iterates:
             iterates.append(state.x.copy())
         if step.terminated or stop.reached(residual):
@@ -356,7 +359,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
 # -- public solver entry points ----------------------------------------------
 
 
-def idarr_solve(geom, b, stop, reorthogonalize=False, store_iterates=None):
+def idarr_solve(geom, b, stop, reorthogonalize=False, store_iterates=False):
     """Iterative solve regularized by the data-adaptive kernel norm."""
     return _iterate(
         geom.linmap, b, geom.apply_crkhs_pinv, stop,
@@ -364,7 +367,7 @@ def idarr_solve(geom, b, stop, reorthogonalize=False, store_iterates=None):
     )
 
 
-def irl2_solve(linmap, b, stop, reorthogonalize=False, store_iterates=None):
+def irl2_solve(linmap, b, stop, reorthogonalize=False, store_iterates=False):
     """Plain least-squares iteration (Euclidean geometry), i.e. LSQR."""
     return _iterate(
         linmap, b, None, stop,
@@ -372,7 +375,7 @@ def irl2_solve(linmap, b, stop, reorthogonalize=False, store_iterates=None):
     )
 
 
-def irL2_solve(geom, b, stop, reorthogonalize=False, store_iterates=None):
+def irL2_solve(geom, b, stop, reorthogonalize=False, store_iterates=False):
     """Weighted least-squares iteration in the L2(rho) geometry."""
     if not isinstance(geom, RkhsGeometry):
         raise TypeError("irL2_solve needs an RkhsGeometry")

@@ -19,7 +19,7 @@ from idarr import (
     true_solution,
     write_array,
 )
-from idarr import cli, problems, rkhs
+from idarr import UsageError, cli, problems, rkhs
 from idarr.cli import (
     ITERATIVE_METHODS,
     ExperimentConfig,
@@ -248,11 +248,12 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("methods", "iDARR,iDARR"), ("nsr_ladder", "0.5,0.5"),
-        ("nsr_ladder", "0.1234567,0.1234568"),
+        ("nsr_ladder", "0.1234567,0.1234568"), ("methods", ""),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_colliding_cells_are_usage_error(self, tmp_path, capsys, key, value, source):
-        # such cells would share their nsr text, seed and solution file name
+        # such cells would share their nsr text, seed and solution file name;
+        # an empty method list would run no cell
         out = tmp_path / "res"
         if source == "flag":
             argv = ["--" + key.replace("_", "-"), value]
@@ -324,11 +325,28 @@ def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
     assert len(eig_calls) == 3  # poly under unit weights
 
 
+@pytest.mark.parametrize("raw, cores, want", [
+    ("1", 4, 1), ("3", 4, 3), ("4", 4, 4), ("20000", 4, 4), ("2", None, 1),
+])
+def test_worker_count_is_capped_at_the_core_count(monkeypatch, raw, cores, want):
+    # only the pool size is computed here; no pool is started
+    monkeypatch.setenv("IDARR_THREADS", raw)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert cli._worker_count() == want
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", ""])
+def test_nonpositive_worker_count_is_usage_error(monkeypatch, raw):
+    monkeypatch.setenv("IDARR_THREADS", raw)
+    with pytest.raises(UsageError):
+        cli._worker_count()
+
+
 def test_timing_sweep_factorizes_every_direct_solve(monkeypatch, eig_calls):
     solves = []
     dartr = cli.dartr_solve
     monkeypatch.setattr(cli, "dartr_solve", lambda *a: solves.append(1) or dartr(*a))
-    cli.run_timing_sweep([20, 40], m=30, k_fixed=3, replicas=2)
+    cli.run_timing_sweep([20, 40], m=30, k_fixed=3, replicas=2, seed=0)
     assert solves and len(eig_calls) == len(solves)
 
 
@@ -428,13 +446,14 @@ def test_bad_psf_grid_is_io_error(tmp_path, capsys, command, entry):
         ["timing", "--seed", "-1000"],
         ["fredholm-bench", "--seed-base", "-1"],
         ["deblur", "--image", "blobs:16", "--seed", "-1"],
+        ["timing", "--n-ladder", "20,20"],
     ],
     ids=["deblur-short-budget", "deblur-negative-nsr", "bench-bad-ladder",
          "timing-no-replicas", "timing-empty-grid", "deblur-psf-inf",
          "deblur-psf-nan", "deblur-psf-zero", "deblur-psf-huge",
          "deblur-psf-wider-than-frame", "deblur-nan-nsr", "deblur-inf-nsr",
          "bench-nan-ladder", "timing-negative-seed", "bench-negative-seed-base",
-         "deblur-negative-seed"],
+         "deblur-negative-seed", "timing-repeated-ladder"],
 )
 def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1

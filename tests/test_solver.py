@@ -354,10 +354,6 @@ class TestStoppingRuleValidation:
         with pytest.raises(ValueError):
             FixedIters(0)
 
-    def test_corner_rule_requires_retained_iterates(self):
-        with pytest.raises(ValueError):
-            idarr_solve(toy_geom(), np.array([1.0, 0.0]), LCurve(), store_iterates=False)
-
 
 class TestSolveResultContract:
     def test_fixed_iters_runs_exactly_k(self, exp_setup):
