@@ -31,14 +31,21 @@ def _finite(value, name):
 
 @dataclass
 class BidiagStep:
-    """One advance of the process: scalars and (unless terminal) new directions."""
+    """One advance of the process: scalars and (unless terminal) new directions.
+
+    reason is None for an ordinary step, else "alpha" or "beta": the
+    coupling that vanished and ended the process.
+    """
 
     alpha: float
     beta: float
     z: np.ndarray | None
     zbar: np.ndarray | None
-    terminated: bool
     reason: str | None = None
+
+    @property
+    def terminated(self):
+        return self.reason is not None
 
 
 class BidiagProcess:
@@ -47,9 +54,10 @@ class BidiagProcess:
     alphas holds the diagonal couplings (alpha_1, alpha_2, ...) and betas
     the data-space couplings (beta_1 = data norm, beta_2, ...). U, Z, Zbar
     hold the generated directions when vectors are kept; Zbar[i] is the
-    shadow K Z[i]. Once terminated, betas has one more entry than alphas
-    (the closing coupling, zero if the data-space direction vanished) and
-    k_t is the exhaustion step.
+    shadow K Z[i]. reason is None while the process runs and "alpha" or
+    "beta" once that coupling vanished; terminated and k_t, the exhaustion
+    step, are read from it. Once terminated, betas has one more entry than
+    alphas (the closing coupling, zero if the data-space direction vanished).
 
     Parameters
     ----------
@@ -77,42 +85,31 @@ class BidiagProcess:
         beta1 = _finite(float(np.linalg.norm(b)), "data norm beta_1")
         if beta1 == 0.0:
             raise TrivialDataError("data vector is identically zero")
-        u = b / beta1
         self.beta1 = beta1
-        self.terminated = False
         self.reason = None
-        self.k_t = None
         self.alphas = []
         self.betas = [beta1]
-        self.U = [u]
+        self.u = b / beta1
+        self.U = [self.u]
         self.Z = []
         self.Zbar = []
-        self.u = u
         self.z = None
         self.zbar = None
+        # only an exactly zero first pairing means the data carries no
+        # component in the explorable range
+        self._tol = 0.0
+        self._extend(linmap.apply_adjoint(self.u))
+        if not self.terminated:
+            # roundoff floor for declaring a later coupling zero
+            self._tol = max(linmap.rows, linmap.cols) * _EPS * max(self.alphas[0], beta1)
 
-        p = linmap.apply_adjoint(u)
-        s = self.pinv_apply(p)
-        sp = self._checked_pairing(s, p)
-        if sp == 0.0:
-            # data carries no component in the explorable range
-            self.alpha1 = 0.0
-            self.terminated = True
-            self.reason = "alpha"
-            self.k_t = 0
-            self._tol = 0.0
-            return
-        alpha1 = float(np.sqrt(sp))
-        self.alpha1 = alpha1
-        self.alphas.append(alpha1)
-        self.z = s / alpha1
-        self.zbar = p / alpha1
-        if self.keep_vectors:
-            self.Z.append(self.z)
-            self.Zbar.append(self.zbar)
-        # roundoff floor for declaring a coupling zero
-        scale = max(alpha1, beta1)
-        self._tol = max(linmap.rows, linmap.cols) * _EPS * scale
+    @property
+    def terminated(self):
+        return self.reason is not None
+
+    @property
+    def k_t(self):
+        return len(self.alphas) if self.terminated else None
 
     def _checked_pairing(self, s, p, abs_tol=0.0):
         # the exact pairing is a positive semidefinite quadratic form; a
@@ -128,31 +125,8 @@ class BidiagProcess:
             sp = 0.0
         return sp
 
-    def advance(self):
-        """Produce couplings (alpha_{i+1}, beta_{i+1}) and the next directions.
-
-        Returns a BidiagStep; when the process exhausts the subspace the
-        step has terminated=True (carrying the closing beta if the
-        data-space direction was still valid) and the state freezes with
-        k_t set to the number of completed solution directions.
-        """
-        if self.terminated:
-            raise StateError("process already terminated")
-        i = len(self.alphas)  # completed directions so far
-        r = self.linmap.apply(self.z) - self.alphas[-1] * self.u
-        if self.reorthogonalize:
-            for _ in range(2):
-                for uj in self.U:
-                    r -= (uj @ r) * uj
-        beta_next = _finite(float(np.linalg.norm(r)), "coupling beta")
-        if beta_next <= self._tol:
-            self.terminated = True
-            self.reason = "beta"
-            self.k_t = i
-            self.betas.append(0.0)
-            return BidiagStep(0.0, 0.0, None, None, True, "beta")
-        u_next = r / beta_next
-        p = self.linmap.apply_adjoint(u_next) - beta_next * self.zbar
+    def _extend(self, p):
+        """Turn p = A^T u - beta zbar into the next direction, unless alpha vanishes."""
         s = self.pinv_apply(p)
         if self.reorthogonalize:
             for _ in range(2):
@@ -160,29 +134,44 @@ class BidiagProcess:
                     c = float(s @ zbarj)
                     s -= c * zj
                     p -= c * zbarj
-        sp = self._checked_pairing(s, p, self._tol)
-        alpha_next = float(np.sqrt(sp))
-        if alpha_next <= self._tol:
-            self.terminated = True
+        alpha = float(np.sqrt(self._checked_pairing(s, p, self._tol)))
+        if alpha <= self._tol:
             self.reason = "alpha"
-            self.k_t = i
-            self.betas.append(beta_next)
-            self.u = u_next
-            if self.keep_vectors:
-                self.U.append(u_next)
-            return BidiagStep(0.0, beta_next, None, None, True, "alpha")
-        z_next = s / alpha_next
-        zbar_next = p / alpha_next
-        self.u = u_next
-        self.z = z_next
-        self.zbar = zbar_next
-        self.alphas.append(alpha_next)
-        self.betas.append(beta_next)
+            return
+        self.z = s / alpha
+        self.zbar = p / alpha
+        self.alphas.append(alpha)
         if self.keep_vectors:
-            self.U.append(u_next)
-            self.Z.append(z_next)
-            self.Zbar.append(zbar_next)
-        return BidiagStep(alpha_next, beta_next, z_next, zbar_next, False)
+            self.Z.append(self.z)
+            self.Zbar.append(self.zbar)
+
+    def advance(self):
+        """Produce couplings (alpha_{i+1}, beta_{i+1}) and the next directions.
+
+        Returns a BidiagStep; when the process exhausts the subspace the
+        step carries its reason (and the closing beta if the data-space
+        direction was still valid) and the state freezes.
+        """
+        if self.terminated:
+            raise StateError("process already terminated")
+        r = self.linmap.apply(self.z) - self.alphas[-1] * self.u
+        if self.reorthogonalize:
+            for _ in range(2):
+                for uj in self.U:
+                    r -= (uj @ r) * uj
+        beta = _finite(float(np.linalg.norm(r)), "coupling beta")
+        if beta <= self._tol:
+            self.reason = "beta"
+            self.betas.append(0.0)
+            return BidiagStep(0.0, 0.0, None, None, "beta")
+        self.u = r / beta
+        self.betas.append(beta)
+        if self.keep_vectors:
+            self.U.append(self.u)
+        self._extend(self.linmap.apply_adjoint(self.u) - beta * self.zbar)
+        if self.terminated:
+            return BidiagStep(0.0, beta, None, None, self.reason)
+        return BidiagStep(self.alphas[-1], beta, self.z, self.zbar)
 
     def bidiagonal_matrix(self, k=None):
         """The (k+1) x k lower bidiagonal coupling matrix."""

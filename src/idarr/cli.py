@@ -22,6 +22,7 @@ import numpy as np
 from .arrayio import read_array, write_array
 from .bidiag import run_bidiag
 from .errors import (
+    DimensionError,
     IdarrError,
     IoError,
     NumericalBreakdownError,
@@ -309,15 +310,15 @@ def cmd_fredholm_bench(args):
     cells = list(product(cfg.methods, cfg.nsr_ladder, range(1, cfg.trials + 1)))
     run_cell = partial(run_bench_row, cfg)
     workers = _worker_count()
+    # created before the work, so an unwritable directory fails before any solve
+    sol_dir = os.path.join(cfg.output_dir, "solutions")
+    os.makedirs(sol_dir, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, *zip(*cells), chunksize=4))
     else:
         outcomes = [run_cell(*cell) for cell in cells]
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    sol_dir = os.path.join(cfg.output_dir, "solutions")
-    os.makedirs(sol_dir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.output_dir, "config_used.cfg"))
 
     with open(os.path.join(cfg.output_dir, "results.csv"), "w", encoding="utf-8",
@@ -429,15 +430,15 @@ def cmd_deblur(args):
     try:
         problem = make_deblur(args.image, psf=args.psf, nsr=args.nsr, seed=args.seed)
         stop = LCurve(max_iters=args.max_iters)
-    except ValueError as exc:
-        # bad synthetic-image kind, bad or oversized psf width, negative or
-        # non-finite ratio, too short an iteration budget ...
+    except (ValueError, DimensionError) as exc:
+        # bad synthetic-image kind or side, bad or oversized psf width,
+        # negative or non-finite ratio, too short an iteration budget ...
         raise UsageError(str(exc)) from exc
+    os.makedirs(args.output_dir, exist_ok=True)
     side = problem.linmap.side
     t0 = time.perf_counter()
     result = run_method(args.method, problem.linmap, problem.geom, problem.b, stop)
     elapsed = time.perf_counter() - t0
-    os.makedirs(args.output_dir, exist_ok=True)
     write_pgm(os.path.join(args.output_dir, "blurred.pgm"),
               np.clip(problem.b.reshape(side, side), 0, 1) * 255)
     write_pgm(os.path.join(args.output_dir, "restored.pgm"),

@@ -240,7 +240,11 @@ KERNELS = {
 }
 
 
-def build_fredholm_map(kernel, m, n, s_range=(1.0, 5.0), t_range=(0.0, 5.0)):
+S_RANGE = (1.0, 5.0)  # the unknown's interval
+T_RANGE = (0.0, 5.0)  # the data's interval
+
+
+def build_fredholm_map(kernel, m, n, s_range=S_RANGE, t_range=T_RANGE):
     """Discretize an integral operator on uniform grids into a DenseMap.
 
     The unknown lives on the n right-endpoint nodes of s_range and the data
@@ -275,7 +279,7 @@ def build_fredholm_map(kernel, m, n, s_range=(1.0, 5.0), t_range=(0.0, 5.0)):
 
 
 def gaussian_radius(width):
-    """Default half-width in pixels of ``gaussian_psf``: three widths, at least one.
+    """Half-width in pixels of ``gaussian_psf``: three widths, at least one.
 
     Raises GeometryError for a width that is not positive, or so large
     (or non-finite) that the half-width is not a finite number.
@@ -286,15 +290,13 @@ def gaussian_radius(width):
     return max(1, int(np.ceil(3.0 * width)))
 
 
-def gaussian_psf(width, radius=None):
+def gaussian_psf(width):
     """Isotropic Gaussian kernel, unit sum, on a (2*radius+1)^2 grid.
 
-    radius defaults to ``gaussian_radius(width)``.
+    radius is ``gaussian_radius(width)``.
     """
     width = float(width)
-    default_radius = gaussian_radius(width)  # also rejects a bad width
-    if radius is None:
-        radius = default_radius
+    radius = gaussian_radius(width)  # also rejects a bad width
     r = np.arange(-radius, radius + 1)
     with np.errstate(all="ignore"):  # a width whose square underflows gives 0/0
         g = np.exp(-(r**2) / (2.0 * width**2))

@@ -9,6 +9,7 @@ import numpy as np
 from .arrayio import read_array, write_array
 from .errors import DimensionError, GeometryError, IoError
 from .linops import (
+    T_RANGE,
     DenseMap,
     DiagonalMap,
     PsfConvolutionMap,
@@ -21,8 +22,6 @@ from .linops import (
 )
 from .rkhs import RkhsGeometry, generalized_eig, make_geometry
 
-S_RANGE = (1.0, 5.0)
-T_RANGE = (0.0, 5.0)
 NSR_LADDER = (0.0625, 0.125, 0.25, 0.5, 1.0)
 
 
@@ -46,7 +45,7 @@ class FredholmSetup:
 
 
 def make_fredholm(kernel="exp", m=500, n=100):
-    linmap, s, t = build_fredholm_map(kernel, m, n, S_RANGE, T_RANGE)
+    linmap, s, t = build_fredholm_map(kernel, m, n)
     geom = make_geometry(linmap)
     dt = (T_RANGE[1] - T_RANGE[0]) / m
     return FredholmSetup(linmap=linmap, geom=geom, s=s, t=t, dt=dt, kernel=kernel)
@@ -157,7 +156,9 @@ def _resolve_image(image):
     else:
         raise IoError(f"cannot interpret image spec {image!r}")
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise DimensionError(f"image must be square, got shape {img.shape}")
+        # a non-square file is malformed input, a non-square array a shape error
+        error = IoError if isinstance(image, str) else DimensionError
+        raise error(f"image must be square, got shape {img.shape}")
     return img
 
 
@@ -184,7 +185,7 @@ def _resolve_psf(psf, side):
         except GeometryError as exc:
             raise ValueError(str(exc)) from None
         _check_psf_size((2 * radius + 1,) * 2, side)
-        return gaussian_psf(width, radius)
+        return gaussian_psf(width)
     if isinstance(psf, np.ndarray):
         kernel = np.asarray(psf, dtype=np.float64)
     elif isinstance(psf, str):
@@ -265,7 +266,12 @@ def load_operator(desc_path):
     kind = desc.get("kind")
     try:
         if kind == "dense":
-            return DenseMap(read_array(os.path.join(base, desc["entries"])))
+            entries = read_array(os.path.join(base, desc["entries"]))
+            shape = (desc["rows"], desc["cols"])
+            if any(type(v) is not int for v in shape) or shape != entries.shape:
+                raise IoError(f"{desc_path}: descriptor says {shape[0]!r} x {shape[1]!r}, "
+                              f"its entries have shape {entries.shape}")
+            return DenseMap(entries)
         if kind == "diagonal":
             return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
         if kind == "psf":

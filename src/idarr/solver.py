@@ -31,8 +31,10 @@ class StoppingRule:
 
     budget is the most iterations to run; reached(residual) ends the run
     early after a step; needs_iterates asks the solver to keep every
-    iterate; select(history, terminated) picks (k_stop, converged,
-    weak_corner) from the finished run's history.
+    iterate; select(history, terminated, data_norm) picks (k_stop,
+    converged, weak_corner) from the finished run's history, which is empty
+    when nothing was explorable. data_norm is ||b||, the residual of the
+    zero iterate (k_stop 0).
     """
 
     needs_iterates = False
@@ -65,9 +67,10 @@ class LCurve(StoppingRule):
                 f"max_iters must be at least min_iters ({self.min_iters}), got {self.max_iters}"
             )
 
-    def select(self, history, terminated):
+    def select(self, history, terminated, data_norm):
         if len(history) < 3:
-            return len(history), True, True
+            # no corner to find; the zero iterate needs none
+            return len(history), True, bool(history)
         idx, weak = select_corner([rec.residual for rec in history],
                                   [rec.penalty_norm for rec in history])
         return history[idx].k, True, weak
@@ -92,10 +95,11 @@ class Discrepancy(StoppingRule):
     def reached(self, residual):
         return residual <= self.tau * self.noise_norm
 
-    def select(self, history, terminated):
+    def select(self, history, terminated, data_norm):
         # a run ended by exhaustion reaches the true residual floor; it is
         # converged only if that floor meets the threshold
-        return len(history), bool(history and self.reached(history[-1].residual)), False
+        residual = history[-1].residual if history else data_norm
+        return len(history), bool(self.reached(residual)), False
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class FixedIters(StoppingRule):
     def budget(self):
         return self.k
 
-    def select(self, history, terminated):
+    def select(self, history, terminated, data_norm):
         return len(history), len(history) == self.k or terminated, False
 
 
@@ -212,14 +216,13 @@ def select_corner(residuals, penalties):
 
 
 def dp_stop(residuals, noise_norm, tau):
-    """Smallest 1-based index with residual <= tau * noise_norm, else None."""
-    if tau <= 1.0:
-        raise ValueError("tau must exceed 1")
-    threshold = tau * noise_norm
-    for i, r in enumerate(residuals):
-        if r <= threshold:
-            return i + 1
-    return None
+    """Smallest 1-based index with a residual that Discrepancy(noise_norm, tau) accepts.
+
+    None when no residual is accepted. A noise_norm or tau that Discrepancy
+    rejects raises its ValueError.
+    """
+    rule = Discrepancy(noise_norm, tau)
+    return next((i + 1 for i, r in enumerate(residuals) if rule.reached(r)), None)
 
 
 # -- recursive update of the running minimizer -------------------------------
@@ -316,35 +319,26 @@ class SolveResult:
 def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=False):
     store_iterates = store_iterates or stop.needs_iterates
     proc = BidiagProcess(linmap, b, pinv_apply=pinv_apply, reorthogonalize=reorthogonalize)
-    if proc.terminated:
-        # nothing explorable: the zero vector already minimizes the residual
-        x0 = np.zeros(linmap.cols)
-        return SolveResult(
-            x=x0,
-            k_stop=0,
-            history=[],
-            iterates=[] if store_iterates else None,
-            terminated=True,
-            k_t=0,
-            converged=True,
-            data_norm=proc.beta1,
-        )
-    state = UpdateState(proc.alpha1, proc.beta1, proc.z, proc.zbar)
     history = []
     iterates = [] if store_iterates else None
-    while state.steps < stop.budget:
-        step = proc.advance()
-        residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
-        history.append(IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq))))
-        if store_iterates:
-            iterates.append(state.x.copy())
-        if step.terminated or stop.reached(residual):
-            break
+    x = np.zeros(linmap.cols)  # stays zero when nothing is explorable
+    if not proc.terminated:
+        state = UpdateState(proc.alphas[0], proc.beta1, proc.z, proc.zbar)
+        while state.steps < stop.budget:
+            step = proc.advance()
+            residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
+            history.append(IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq))))
+            if store_iterates:
+                iterates.append(state.x.copy())
+            if step.terminated or stop.reached(residual):
+                break
+        x = state.x
 
-    k_stop, converged, weak = stop.select(history, proc.terminated)
-    x = iterates[k_stop - 1].copy() if k_stop < state.steps else state.x.copy()
+    k_stop, converged, weak = stop.select(history, proc.terminated, proc.beta1)
+    if k_stop < len(history):
+        x = iterates[k_stop - 1]
     return SolveResult(
-        x=x,
+        x=x.copy(),
         k_stop=k_stop,
         history=history,
         iterates=iterates,

@@ -18,6 +18,7 @@ from idarr import (
     save_operator,
     true_solution,
     write_array,
+    write_pgm,
 )
 from idarr import UsageError, cli, problems, rkhs
 from idarr.cli import (
@@ -401,6 +402,14 @@ class TestDeblurCommand:
         assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:wide",
                      "--output-dir", str(tmp_path)]) == 1
 
+    def test_non_square_image_file_is_io_error(self, tmp_path, capsys):
+        write_pgm(tmp_path / "wide.pgm", np.zeros((10, 12)))
+        out = tmp_path / "out"
+        assert main(["deblur", "--image", str(tmp_path / "wide.pgm"),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("io error:")
+        assert not out.exists()
+
     def test_vanishing_gaussian_width_restores_through_a_delta(self, tmp_path):
         out = tmp_path / "deblur"
         assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:1e-200",
@@ -447,18 +456,35 @@ def test_bad_psf_grid_is_io_error(tmp_path, capsys, command, entry):
         ["fredholm-bench", "--seed-base", "-1"],
         ["deblur", "--image", "blobs:16", "--seed", "-1"],
         ["timing", "--n-ladder", "20,20"],
+        ["deblur", "--image", "blobs:4"],
     ],
     ids=["deblur-short-budget", "deblur-negative-nsr", "bench-bad-ladder",
          "timing-no-replicas", "timing-empty-grid", "deblur-psf-inf",
          "deblur-psf-nan", "deblur-psf-zero", "deblur-psf-huge",
          "deblur-psf-wider-than-frame", "deblur-nan-nsr", "deblur-inf-nsr",
          "bench-nan-ladder", "timing-negative-seed", "bench-negative-seed-base",
-         "deblur-negative-seed", "timing-repeated-ladder"],
+         "deblur-negative-seed", "timing-repeated-ladder", "deblur-image-too-small"],
 )
 def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, solver", [
+    ("fredholm-bench", "run_bench_row"), ("deblur", "run_method"),
+])
+def test_unwritable_output_dir_fails_before_any_solve(command, solver, tmp_path, monkeypatch,
+                                                      capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = []
+    monkeypatch.setattr(cli, solver, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.delenv("IDARR_THREADS", raising=False)
+    argv = BENCH_ARGS if command == "fredholm-bench" else ["deblur", "--image", "blobs:16"]
+    assert main(argv + ["--output-dir", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("io error:")
+    assert calls == []
 
 
 class TestOracleCheckCommand:

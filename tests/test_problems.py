@@ -252,13 +252,19 @@ class TestSerialization:
         from idarr.cli import main
 
         write_array(str(tmp_path / "vec.bin"), np.ones(4))
+        write_array(str(tmp_path / "mat.bin"), np.ones((5, 3)))
         (tmp_path / "psf.txt").write_text("1\n")
         desc = tmp_path / "operator.json"
         for text in (
             "{not json",
             '["dense"]',
             '{"kind": "dense"}',
-            '{"kind": "dense", "entries": "vec.bin"}',  # a 1-d payload
+            '{"kind": "dense", "rows": 4, "cols": 1, "entries": "vec.bin"}',  # a 1-d payload
+            '{"kind": "dense", "rows": 7, "cols": 2, "entries": "mat.bin"}',
+            '{"kind": "dense", "rows": 3, "cols": 5, "entries": "mat.bin"}',
+            '{"kind": "dense", "rows": 5.0, "cols": 3, "entries": "mat.bin"}',
+            '{"kind": "dense", "rows": "5", "cols": 3, "entries": "mat.bin"}',
+            '{"kind": "dense", "cols": 3, "entries": "mat.bin"}',
             '{"kind": "diagonal", "diag": 3}',
             '{"kind": "psf", "psf": "psf.txt"}',
             '{"kind": "psf", "side": "abc", "psf": "psf.txt"}',

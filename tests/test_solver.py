@@ -186,6 +186,22 @@ class TestUpdateRecursion:
         # the zero iterate's residual is the data norm beta_1
         assert result.residual == 1.0 and result.penalty_norm is None
 
+    @pytest.mark.parametrize("stop, converged", [
+        (Discrepancy(noise_norm=0.01), False),  # ||b|| = 1 > 1.01 * 0.01
+        (Discrepancy(noise_norm=1.0), True),  # ||b|| = 1 <= 1.01 * 1
+        (LCurve(), True),
+        (FixedIters(5), True),
+    ], ids=["dp-unmet", "dp-met", "lcurve", "fixed"])
+    def test_zero_step_convergence_follows_the_rule(self, stop, converged):
+        # with nothing explorable the zero iterate is the whole run, and each
+        # rule judges it as it would judge the last iterate of a longer run
+        a = np.array([[1.0, 1.0], [0.0, 0.0]])
+        geom = RkhsGeometry(DenseMap(a), np.ones(2))
+        result = idarr_solve(geom, np.array([0.0, 1.0]), stop)
+        assert result.k_stop == 0 and result.history == []
+        assert result.converged is converged
+        assert result.weak_corner is False
+
 
 class TestCornerDetector:
     def test_right_angle_polyline(self):
@@ -296,6 +312,13 @@ class TestDiscrepancySelection:
     def test_tau_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             dp_stop([0.5], 0.1, 1.0)
+
+    @pytest.mark.parametrize("noise, tau", [
+        (np.nan, 1.01), (np.inf, 1.01), (0.1, np.nan), (0.1, np.inf),
+    ])
+    def test_non_finite_noise_or_tau_rejected(self, noise, tau):
+        with pytest.raises(ValueError):
+            dp_stop([0.5], noise, tau)
 
     @settings(max_examples=60, deadline=None)
     @given(
