@@ -55,7 +55,6 @@ from .rkhs import (
     dartr_solve,
     generalized_eig,
     make_geometry,
-    rkhs_norm_sq,
     tikhonov_direct,
 )
 from .solver import (

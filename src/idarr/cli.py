@@ -47,10 +47,18 @@ from .rkhs import (DirectFactorization, RkhsGeometry, compute_exploration_weight
                    tikhonov_direct)
 from .solver import Discrepancy, FixedIters, LCurve, dp_stop, idarr_solve, irL2_solve, irl2_solve
 
-ITERATIVE_METHODS = ("iDARR", "IR-l2", "IR-L2")
-DIRECT_METHODS = ("l2-direct", "L2-direct", "DARTR")
-ALL_METHODS = ITERATIVE_METHODS + DIRECT_METHODS
-GEOMETRY_FREE_METHODS = ("IR-l2", "l2-direct")  # need no exploration weights
+# Each method is a solver family, iterative or direct, under a penalty norm: the
+# data-adaptive "rkhs" norm, "L2" (weighted by the exploration measure rho) or "l2".
+METHODS = {
+    "iDARR": (True, "rkhs"),
+    "IR-l2": (True, "l2"),
+    "IR-L2": (True, "L2"),
+    "l2-direct": (False, "l2"),
+    "L2-direct": (False, "L2"),
+    "DARTR": (False, "rkhs"),
+}
+ALL_METHODS = tuple(METHODS)
+ITERATIVE_METHODS = tuple(name for name, (iterative, _) in METHODS.items() if iterative)
 
 RESULT_COLUMNS = (
     "method", "nsr", "trial", "k_stop", "l2rho_error",
@@ -205,38 +213,31 @@ def _get_truth(kernel, m, n, truth):
 
 @lru_cache(maxsize=None)
 def _get_factored(kernel, m, n, method):
-    """A direct method's factorization; DARTR and L2-direct reuse the setup's eigenpairs."""
+    """A direct method's factorization; the weighted norms reuse the setup's eigenpairs."""
     setup = _get_setup(kernel, m, n)
-    if method == "l2-direct":
-        return DirectFactorization.tikhonov(setup.linmap.entries)
-    form = DirectFactorization.dartr if method == "DARTR" else DirectFactorization.tikhonov
-    return form(setup.linmap.entries, setup.geom.rho, setup.decomposition())
+    norm = METHODS[method][1]
+    decomp = None if norm == "l2" else setup.decomposition()
+    return DirectFactorization.build(setup.linmap.entries, norm, setup.geom.rho, decomp)
 
 
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
-    """Solve for b with the named method.
+    """Solve for b with method, a key of METHODS: its family under its norm.
 
-    geom is read only by the weighted methods (not GEOMETRY_FREE_METHODS);
-    stop and the keywords (reorthogonalize, store_iterates) only by the
-    iterative ones. A direct method solves through factored, its
-    DirectFactorization of linmap, when one is given, and otherwise through
-    its cold one-shot. Solvers are looked up by module name at call time.
+    geom is read only under the weighted norms ("L2", "rkhs"); stop and the
+    keywords (reorthogonalize, store_iterates) only by the iterative family.
+    A direct method solves through factored, its DirectFactorization of
+    linmap, when one is given, and otherwise through its cold one-shot.
+    Solvers are looked up by module name at call time.
     """
-    if factored is not None and method in DIRECT_METHODS:
+    iterative, norm = METHODS[method]
+    if iterative:
+        solve = {"rkhs": idarr_solve, "L2": irL2_solve, "l2": irl2_solve}[norm]
+        return solve(linmap if norm == "l2" else geom, b, stop, **kw)
+    if factored is not None:
         return factored.solve(b)
-    if method == "iDARR":
-        return idarr_solve(geom, b, stop, **kw)
-    if method == "IR-L2":
-        return irL2_solve(geom, b, stop, **kw)
-    if method == "IR-l2":
-        return irl2_solve(linmap, b, stop, **kw)
-    if method == "DARTR":
+    if norm == "rkhs":
         return dartr_solve(linmap, geom.rho, b)
-    if method == "L2-direct":
-        return tikhonov_direct(linmap, b, weights=geom.rho)
-    if method == "l2-direct":
-        return tikhonov_direct(linmap, b)
-    raise UsageError(f"unknown method {method!r}; choose from {list(ALL_METHODS)}")
+    return tikhonov_direct(linmap, b, weights=None if norm == "l2" else geom.rho)
 
 
 def run_bench_row(cfg, method, nsr, trial):
@@ -247,10 +248,8 @@ def run_bench_row(cfg, method, nsr, trial):
     problem = add_noise(clean_problem(setup, x_true), nsr, seed)
     geom = problem.geom
     iterative = method in ITERATIVE_METHODS
-    stop = None
-    if iterative:
-        stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
-                if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))
+    stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
+            if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))  # read if iterative
     # factored once per process, so a direct row times only its ladder solve
     factored = None if iterative else _get_factored(cfg.kernel, cfg.m, cfg.n, method)
     t0 = time.perf_counter()
@@ -502,23 +501,26 @@ def _read_data(path, rows):
 
 
 def cmd_solve(args):
-    linmap = load_operator(args.operator)
-    b = _read_data(args.data, linmap.rows)
-    method = args.method
-    t0 = time.perf_counter()
-    geom = (None if method in GEOMETRY_FREE_METHODS
-            else RkhsGeometry(linmap, compute_exploration_weights(linmap)))
-    iterative = method in ITERATIVE_METHODS
-    stop = _parse_stop_flag(args.stop, args.max_iters) if iterative else None
-    result = run_method(method, linmap, geom, b, stop, reorthogonalize=args.reorthogonalize)
-    if iterative:
-        note = (f"k_stop={result.k_stop} residual={result.residual:.6g} "
-                f"converged={result.converged}")
-    else:
-        note = f"lambda={result.lam:.6g} corner_index={result.corner_index}"
-    elapsed = time.perf_counter() - t0
-    write_array(args.out, result.x)
-    print(f"method={method} {note} elapsed_ms={elapsed * 1e3:.1f} -> {args.out}")
+    iterative, norm = METHODS[args.method]
+    stop = _parse_stop_flag(args.stop, args.max_iters)  # checked for every method
+    fresh = not os.path.exists(args.out)
+    open(args.out, "ab").close()  # an unwritable --out fails before any work
+    try:
+        linmap = load_operator(args.operator)
+        b = _read_data(args.data, linmap.rows)
+        t0 = time.perf_counter()
+        geom = None if norm == "l2" else RkhsGeometry(linmap, compute_exploration_weights(linmap))
+        result = run_method(args.method, linmap, geom, b, stop,
+                            reorthogonalize=args.reorthogonalize)
+        elapsed = time.perf_counter() - t0
+        write_array(args.out, result.x)
+    except BaseException:
+        if fresh:  # a failed run leaves no output file
+            os.remove(args.out)
+        raise
+    note = (f"k_stop={result.k_stop} residual={result.residual:.6g} converged={result.converged}"
+            if iterative else f"lambda={result.lam:.6g} corner_index={result.corner_index}")
+    print(f"method={args.method} {note} elapsed_ms={elapsed * 1e3:.1f} -> {args.out}")
     return 0
 
 
@@ -593,7 +595,7 @@ def build_parser():
     p = sub.add_parser("solve", help="solve one problem from operator and data files")
     p.add_argument("--operator", required=True, help="operator descriptor (json)")
     p.add_argument("--data", required=True, help="data vector file")
-    p.add_argument("--method", default="iDARR", choices=ALL_METHODS)
+    p.add_argument("--method", default=ALL_METHODS[0], choices=ALL_METHODS)
     p.add_argument("--stop", default="lcurve", help="lcurve | dp:NOISE[:TAU] | fixed:K")
     p.add_argument("--max-iters", type=int, default=30)
     p.add_argument("--reorthogonalize", action="store_true")
@@ -621,7 +623,7 @@ def build_parser():
                    help="pgm file or synthetic spec kind:side")
     p.add_argument("--psf", default="gaussian:2", help="gaussian:WIDTH or text grid file")
     p.add_argument("--nsr", type=float, default=0.01)
-    p.add_argument("--method", default="iDARR", choices=ITERATIVE_METHODS)
+    p.add_argument("--method", default=ITERATIVE_METHODS[0], choices=ITERATIVE_METHODS)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=60)
     p.add_argument("--seed", type=_NONNEGATIVE, default=11)
     p.add_argument("--output-dir", dest="output_dir", default="deblur_out")

@@ -251,7 +251,7 @@ def load_operator(desc_path):
     """The operator that a save_operator descriptor describes.
 
     An unreadable descriptor or payload, a missing or bad field, and a
-    payload of the wrong shape for its kind all raise IoError.
+    payload of the wrong shape for its kind (a too wide psf) raise IoError.
     """
     try:
         with open(desc_path, "r", encoding="utf-8") as fh:
@@ -275,8 +275,9 @@ def load_operator(desc_path):
         if kind == "diagonal":
             return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
         if kind == "psf":
-            psf = read_psf_text(os.path.join(base, desc["psf"]))
-            return PsfConvolutionMap(int(desc["side"]), psf)
+            psf, side = read_psf_text(os.path.join(base, desc["psf"])), int(desc["side"])
+            _check_psf_size(psf.shape, side)  # as make_deblur does
+            return PsfConvolutionMap(side, psf)
     except KeyError as exc:
         raise IoError(f"{desc_path}: {kind} descriptor has no {exc} field") from None
     except (TypeError, ValueError, OverflowError, DimensionError) as exc:

@@ -2,7 +2,7 @@
 
 The builders draw instances with a known answer; each measure returns a
 deviation that is zero in exact arithmetic. The acceptance tests and the
-``oracle-check`` command share them.
+``oracle-check`` command share them; the tests also use the dense oracles.
 """
 
 import numpy as np
@@ -84,6 +84,21 @@ def restricted_solution(geom, b):
     factor = decomp.V[:, : decomp.rank] * np.sqrt(decomp.lambdas[: decomp.rank])
     coeffs, *_ = np.linalg.lstsq(a @ factor, b, rcond=None)
     return factor @ coeffs
+
+
+def rkhs_norm_sq(decomp, rho, x):
+    """Quadratic form x^T C^+ ... evaluated spectrally: x^T (V Lam V^T)^+ x.
+
+    Uses the B-orthonormality inverse V^-1 = V^T B, truncated at the
+    decomposition's rank; components outside the range contribute nothing.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    r = decomp.rank
+    if r == 0:
+        return 0.0
+    coeffs = decomp.V[:, :r].T @ (rho * x)
+    return float(np.sum(coeffs**2 / decomp.lambdas[:r]))
 
 
 def terminal_deviation(geom, b):

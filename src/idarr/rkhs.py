@@ -8,8 +8,8 @@ operator is the quadratic form of the pseudoinverse of
 
 whose own pseudoinverse has the closed form C^+ = B^-1 A^T A B^-1 and is
 therefore applicable matrix-free. The dense routines here (generalized
-eigendecomposition, norm evaluation, regularized direct solves) serve both
-as baselines and as oracles for the iterative solver.
+eigendecomposition, regularized direct solves) serve both as baselines and
+as oracles for the iterative solver.
 """
 
 from dataclasses import dataclass, field
@@ -111,21 +111,6 @@ def generalized_eig(gram, rho):
     return SpectralDecomposition(V=v, lambdas=mu, rank=rank)
 
 
-def rkhs_norm_sq(decomp, rho, x):
-    """Quadratic form x^T C^+ ... evaluated spectrally: x^T (V Lam V^T)^+ x.
-
-    Uses the B-orthonormality inverse V^-1 = V^T B, truncated at the
-    decomposition's rank; components outside the range contribute nothing.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    r = decomp.rank
-    if r == 0:
-        return 0.0
-    coeffs = decomp.V[:, :r].T @ (rho * x)
-    return float(np.sum(coeffs**2 / decomp.lambdas[:r]))
-
-
 @dataclass
 class DirectResult:
     """Solution path of a regularized direct solve with its selected point.
@@ -163,9 +148,8 @@ class DirectFactorization:
     Holds the dense operator a, its generalized_eig under the weights, the
     change of variables x = T y that makes the method's penalty the plain
     squared norm and the problem diagonal, (A T)^T (A T) = diag(s2), and the
-    strength ladder. dartr() and tikhonov() run one eigendecomposition, or
-    none when given decomp, one of A^T A under the same weights; solve(b)
-    costs products with A and T only.
+    strength ladder. build() factors once per penalty norm; solve(b) costs
+    products with A and T only.
     """
 
     a: np.ndarray
@@ -174,39 +158,36 @@ class DirectFactorization:
     s2: np.ndarray
     lambdas: np.ndarray
 
-    @staticmethod
-    def _factor(linmap, weights, decomp):
+    @classmethod
+    def build(cls, linmap, norm, rho=None, decomp=None):
+        """Factor linmap for the penalty norm "rkhs", "L2" or "l2".
+
+        The weights are rho (None for 1) under "rkhs" and "L2", and 1 under
+        "l2". One eigendecomposition of A^T A runs under them, or none when
+        decomp, one under the same weights, is given.
+
+        "rkhs" (DARTR) takes T = C_* = V_r Lam_r^(1/2) over the numerical
+        rank r. Since V^T A^T A V = Lam, s2 = Lam_r^2 exactly: each strength
+        lam is the filter Lam / (Lam^2 + lam) on the generalized coordinates
+        of A^T b, and the ladder spans the generalized eigenvalues. "L2" and
+        "l2" (Tikhonov) take T = V, s2 = Lam, the filter 1 / (Lam + lam),
+        and a ladder over the top min(m, n) eigenvalues.
+        """
+        if norm not in ("rkhs", "L2", "l2"):
+            raise ValueError(f"norm must be rkhs, L2 or l2, got {norm!r}")
         a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
         if decomp is None:
-            decomp = generalized_eig(a.T @ a, np.ones(a.shape[1]) if weights is None else weights)
+            weights = np.ones(a.shape[1]) if norm == "l2" or rho is None else rho
+            decomp = generalized_eig(a.T @ a, weights)
         if decomp.rank == 0:
             raise TrivialDataError("operator has numerical rank zero")
-        return a, decomp
-
-    @classmethod
-    def dartr(cls, linmap, rho, decomp=None):
-        """The adaptive-norm form: T = C_* = V_r Lam_r^(1/2) over the numerical rank r.
-
-        Since V^T A^T A V = Lam, the standard form A C_* has the exact
-        spectrum s2 = Lam_r^2, so each strength lam is the filter
-        Lam / (Lam^2 + lam) on the generalized coordinates of A^T b. The
-        ladder spans the generalized eigenvalue range.
-        """
-        a, decomp = cls._factor(linmap, rho, decomp)
-        lam = decomp.lambdas[: decomp.rank]
-        cstar = decomp.V[:, : decomp.rank] * np.sqrt(lam)
-        return cls(a, decomp, cstar, lam**2, _lambda_grid(lam[0], lam[-1]))
-
-    @classmethod
-    def tikhonov(cls, linmap, weights=None, decomp=None):
-        """The diagonal-penalty form: T = V, s2 = Lam, under weights w (None for w = 1).
-
-        With A^T A V = W V Lam, V^T W V = I, each strength lam is the filter
-        1 / (Lam + lam); the ladder spans the top min(m, n) eigenvalues.
-        """
-        a, decomp = cls._factor(linmap, weights, decomp)
         lam = decomp.lambdas
-        return cls(a, decomp, decomp.V, lam, _lambda_grid(lam[0], lam[min(a.shape) - 1]))
+        if norm == "rkhs":
+            lam = lam[: decomp.rank]
+            t, s2, floor = decomp.V[:, : decomp.rank] * np.sqrt(lam), lam**2, lam[-1]
+        else:
+            t, s2, floor = decomp.V, lam, lam[min(a.shape) - 1]
+        return cls(a, decomp, t, s2, _lambda_grid(lam[0], floor))
 
     def solve(self, b):
         """Corner-selected ridge path of min ||A T y - b||^2 + lam ||y||^2, in x = T y.
@@ -247,14 +228,15 @@ class DirectFactorization:
 def dartr_solve(linmap, rho, b):
     """Adaptive-norm direct regularization, corner-selected: a cold one-shot.
 
-    DirectFactorization.dartr(linmap, rho).solve(b), one eigendecomposition.
+    DirectFactorization.build(linmap, "rkhs", rho).solve(b), one eigendecomposition.
     """
-    return DirectFactorization.dartr(linmap, rho).solve(b)
+    return DirectFactorization.build(linmap, "rkhs", rho).solve(b)
 
 
 def tikhonov_direct(linmap, b, weights=None):
     """Ridge with penalty sum_i w_i x_i^2 (w = 1 for None), corner-selected: a cold one-shot.
 
-    DirectFactorization.tikhonov(linmap, weights).solve(b), one eigendecomposition.
+    DirectFactorization.build(linmap, "L2", weights).solve(b) ("l2" for None), one
+    eigendecomposition.
     """
-    return DirectFactorization.tikhonov(linmap, weights).solve(b)
+    return DirectFactorization.build(linmap, "l2" if weights is None else "L2", weights).solve(b)

@@ -5,17 +5,24 @@ import csv
 import json
 import os
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
 
 from idarr import (
     DenseMap,
+    LCurve,
     add_noise,
     clean_problem,
+    dartr_solve,
+    idarr_solve,
+    irL2_solve,
+    irl2_solve,
     make_fredholm,
     read_array,
     save_operator,
+    tikhonov_direct,
     true_solution,
     write_array,
     write_pgm,
@@ -95,10 +102,12 @@ class TestSolveCommand:
         desc, data, _, _ = dense_instance
         out = tmp_path / "x.bin"
         args = ["solve", "--operator", desc, "--data", data, "--out", str(out)]
-        for extra in (["dp:abc"], ["fixed:0"], ["simplex"], ["dp:1:0.5"], ["dp:-1"],
-                      ["dp:nan"], ["dp:inf"], ["dp:0.1:nan"], ["dp:0.1:inf"],
-                      ["dp:0.1", "--max-iters", "0"], ["lcurve", "--max-iters", "3"]):
-            assert main(args + ["--stop"] + extra) == 1, extra
+        # the spec is checked for the direct family too, which ignores it
+        for method, extra in product(["iDARR", "DARTR"], (
+                ["dp:abc"], ["fixed:0"], ["simplex"], ["dp:1:0.5"], ["dp:-1"],
+                ["dp:nan"], ["dp:inf"], ["dp:0.1:nan"], ["dp:0.1:inf"],
+                ["dp:0.1", "--max-iters", "0"], ["lcurve", "--max-iters", "3"])):
+            assert main(args + ["--method", method, "--stop"] + extra) == 1, (method, extra)
             assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 
@@ -112,8 +121,14 @@ class TestSolveCommand:
         desc, _, _, _ = dense_instance
         data = tmp_path / "zero.bin"
         write_array(str(data), np.zeros(12))
-        assert main(["solve", "--operator", desc, "--data", str(data),
-                     "--stop", "fixed:3", "--out", str(tmp_path / "x.bin")]) == 3
+        out = tmp_path / "x.bin"
+        args = ["solve", "--operator", desc, "--data", str(data), "--stop", "fixed:3",
+                "--out", str(out)]
+        assert main(args) == 3
+        assert not out.exists()  # the failed run removes the file it opened
+        out.write_bytes(b"kept")
+        assert main(args) == 3
+        assert out.read_bytes() == b"kept"  # and leaves an existing one as it was
 
     @pytest.mark.parametrize("method", ["iDARR", "DARTR"])
     @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
@@ -472,7 +487,7 @@ def test_bad_flag_value_is_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, solver", [
-    ("fredholm-bench", "run_bench_row"), ("deblur", "run_method"),
+    ("fredholm-bench", "run_bench_row"), ("deblur", "run_method"), ("solve", "run_method"),
 ])
 def test_unwritable_output_dir_fails_before_any_solve(command, solver, tmp_path, monkeypatch,
                                                       capsys):
@@ -481,10 +496,42 @@ def test_unwritable_output_dir_fails_before_any_solve(command, solver, tmp_path,
     calls = []
     monkeypatch.setattr(cli, solver, lambda *args, **kwargs: calls.append(args))
     monkeypatch.delenv("IDARR_THREADS", raising=False)
-    argv = BENCH_ARGS if command == "fredholm-bench" else ["deblur", "--image", "blobs:16"]
-    assert main(argv + ["--output-dir", str(blocker / "out")]) == 2
+    if command == "solve":  # its output is the file --out
+        write_array(str(tmp_path / "b.bin"), np.ones(3))
+        argv = ["solve", "--operator", save_operator(DenseMap(np.eye(3)), str(tmp_path)),
+                "--data", str(tmp_path / "b.bin"), "--out"]
+    else:
+        argv = (BENCH_ARGS if command == "fredholm-bench"
+                else ["deblur", "--image", "blobs:16"]) + ["--output-dir"]
+    assert main(argv + [str(blocker / "out")]) == 2
     assert capsys.readouterr().err.startswith("io error:")
     assert calls == []
+
+
+# each method's public call as the README documents it
+DOCUMENTED_CALLS = {
+    "iDARR": lambda linmap, geom, b, stop: idarr_solve(geom, b, stop),
+    "IR-L2": lambda linmap, geom, b, stop: irL2_solve(geom, b, stop),
+    "IR-l2": lambda linmap, geom, b, stop: irl2_solve(linmap, b, stop),
+    "DARTR": lambda linmap, geom, b, stop: dartr_solve(linmap, geom.rho, b),
+    "L2-direct": lambda linmap, geom, b, stop: tikhonov_direct(linmap, b, weights=geom.rho),
+    "l2-direct": lambda linmap, geom, b, stop: tikhonov_direct(linmap, b),
+}
+
+
+@pytest.fixture(scope="module")
+def poly_problem():
+    setup = make_fredholm("poly", 60, 20)
+    problem = add_noise(clean_problem(setup, true_solution(setup, "out-of-range")), 0.05, 3)
+    return problem.linmap, problem.geom, problem.b, LCurve(max_iters=12)
+
+
+@pytest.mark.parametrize("method", cli.ALL_METHODS)
+def test_run_method_is_the_documented_call(method, poly_problem):
+    expected = {name: call(*poly_problem).x.tobytes() for name, call in DOCUMENTED_CALLS.items()}
+    got = cli.run_method(method, *poly_problem).x.tobytes()
+    # bitwise the method's own call, and no other method's, so a swapped norm or family fails
+    assert [name for name, bits in expected.items() if bits == got] == [method]
 
 
 class TestOracleCheckCommand:

@@ -254,6 +254,7 @@ class TestSerialization:
         write_array(str(tmp_path / "vec.bin"), np.ones(4))
         write_array(str(tmp_path / "mat.bin"), np.ones((5, 3)))
         (tmp_path / "psf.txt").write_text("1\n")
+        np.savetxt(tmp_path / "wide.txt", np.ones((41, 41)))
         desc = tmp_path / "operator.json"
         for text in (
             "{not json",
@@ -270,6 +271,7 @@ class TestSerialization:
             '{"kind": "psf", "side": "abc", "psf": "psf.txt"}',
             '{"kind": "psf", "side": 0, "psf": "psf.txt"}',
             '{"kind": "psf", "side": 1e400, "psf": "psf.txt"}',
+            '{"kind": "psf", "side": 4, "psf": "wide.txt"}',  # wider than 2 * side - 1
         ):
             desc.write_text(text)
             with pytest.raises(IoError):

@@ -30,10 +30,10 @@ from idarr import (
     generalized_eig,
     l2rho_error,
     make_geometry,
-    rkhs_norm_sq,
     tikhonov_direct,
     true_solution,
 )
+from idarr.properties import rkhs_norm_sq
 
 TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])  # normalized column sums of diag(2,1)
@@ -389,8 +389,8 @@ def test_bad_data_rejected(solve, b, error):
 def test_factorization_solves_repeatedly_like_the_one_shots(rng):
     a = rng.standard_normal((40, 12))
     rho = compute_exploration_weights(DenseMap(a))
-    dartr = DirectFactorization.dartr(DenseMap(a), rho)
-    tikhonov = DirectFactorization.tikhonov(DenseMap(a), rho, dartr.decomp)
+    dartr = DirectFactorization.build(DenseMap(a), "rkhs", rho)
+    tikhonov = DirectFactorization.build(DenseMap(a), "L2", rho, dartr.decomp)
     for b in rng.standard_normal((3, 40)):
         pairs = ((dartr.solve(b), dartr_solve(DenseMap(a), rho, b)),
                  (tikhonov.solve(b), tikhonov_direct(DenseMap(a), b, weights=rho)))
@@ -398,6 +398,11 @@ def test_factorization_solves_repeatedly_like_the_one_shots(rng):
             for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
                 assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
             assert warm.corner_index == cold.corner_index
+
+
+def test_unknown_norm_rejected():
+    with pytest.raises(ValueError, match="norm must be"):
+        DirectFactorization.build(DenseMap(TOY_A), "L1", TOY_RHO)
 
 
 @pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])

@@ -28,11 +28,11 @@ from idarr import (
     irl2_solve,
     lcurve_corner,
     make_geometry,
-    rkhs_norm_sq,
     run_bidiag,
     true_solution,
 )
-from idarr.properties import residual_gaps, restricted_solution, subspace_deviation
+from idarr.properties import (residual_gaps, restricted_solution, rkhs_norm_sq,
+                              subspace_deviation)
 from idarr.solver import polyline_bends
 
 TOY_A = np.diag([2.0, 1.0])
