@@ -10,6 +10,7 @@ usable matrix-free.
 from abc import ABC, abstractmethod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 
@@ -127,25 +128,33 @@ class DiagonalMap(LinearMap):
         return np.diag(self.diag)
 
 
+BLOCK = 16  # output lines per Toeplitz block; of 8 to 48, 8 and 16 were fastest
+
+
 class PsfConvolutionMap(LinearMap):
     """Blur of a square image by a point-spread function, zero outside the frame.
 
     Vectors are row-major flattenings of side x side images. The forward
-    action convolves with the kernel; the adjoint correlates with it. Both
-    are computed by direct shifted accumulation, one full-image pass per
-    nonzero tap of each factor in ``self.factors``.
+    action convolves with the kernel; the adjoint correlates with it.
 
     A kernel of numerical rank 1 (``gaussian_psf`` is ``outer(g, g)``) is
-    kept as a ``kp x 1`` column factor and a ``1 x kq`` row factor, so a
-    product costs kp + kq passes instead of kp * kq. The forward action
-    runs the factors in order, the adjoint runs them in reverse order with
-    the shifts negated. Any other kernel is a single factor. Each entry of
-    the realized matrix is one rounded product of factor weights, summed
-    with exact zeros only, so ``as_dense()`` of the adjoint is bitwise the
-    transpose of ``as_dense()`` of the forward action; on a general vector
-    the two actions agree with that matrix up to the rounding of their sums.
-    The factored matrix differs from ``self.psf`` (the normalized kernel,
-    as given) by at most ``8 * eps * max(psf)`` per entry.
+    kept in ``self.factors`` as a ``kp x 1`` column factor and a ``1 x kq``
+    row factor, and each product is two 1-D passes of blocked matrix
+    products: the row pass, then the column pass, in both directions.
+    A pass zero-pads its axis, so every ``BLOCK`` output lines see one
+    Toeplitz block of the factor's taps applied to ``BLOCK + k - 1`` input
+    lines; the map keeps one such block per factor and direction. At most
+    two frames are live during a product. Any other kernel is a single
+    factor, applied by direct shifted accumulation, one full-image pass
+    per nonzero tap.
+
+    Each entry of the realized matrix is one rounded product of factor
+    weights, summed with exact zeros only, so ``as_dense()`` of the
+    adjoint is bitwise the transpose of ``as_dense()`` of the forward
+    action; on a general vector the two actions agree with that matrix up
+    to the rounding of their sums. The factored matrix differs from
+    ``self.psf`` (the normalized kernel, as given) by at most
+    ``8 * eps * max(psf)`` per entry.
     """
 
     def __init__(self, side, psf):
@@ -164,15 +173,24 @@ class PsfConvolutionMap(LinearMap):
         self.side = side
         self.psf = psf / total
         self.factors = _rank1_factors(self.psf) or [self.psf]
+        if len(self.factors) == 2:
+            # (block, zero lines ahead of the frame) per pass, row factor
+            # first: the convolution slides the reversed taps, the
+            # correlation the taps as given
+            taps = [self.factors[1].ravel(), self.factors[0].ravel()]
+            self._passes = {
+                False: [(_toeplitz_block(t[::-1]), len(t) - 1 - len(t) // 2) for t in taps],
+                True: [(_toeplitz_block(t), len(t) // 2) for t in taps],
+            }
 
-    def _shifted_accumulate(self, img, flip, kernel):
+    def _shifted_accumulate(self, img, flip):
         n = self.side
-        kp, kq = kernel.shape
+        kp, kq = self.psf.shape
         cp, cq = kp // 2, kq // 2
         out = np.zeros_like(img)
         for p in range(kp):
             for q in range(kq):
-                w = kernel[p, q]
+                w = self.psf[p, q]
                 if w == 0.0:
                     continue
                 dp, dq = p - cp, q - cq
@@ -186,22 +204,45 @@ class PsfConvolutionMap(LinearMap):
                 out[r0:r1, c0:c1] += w * img[r0 - dp:r1 - dp, c0 - dq:c1 - dq]
         return out
 
-    def _apply(self, v):
-        img = v.reshape(self.side, self.side)
-        for kernel in self.factors:
-            img = self._shifted_accumulate(img, False, kernel)
+    def _product(self, v, flip):
+        n = self.side
+        img = v.reshape(n, n)
+        if len(self.factors) == 1:
+            return self._shifted_accumulate(img, flip).ravel()
+        # Each pass runs on the transpose of its input, so the row pass
+        # comes first and the column pass leaves a C-ordered frame. The
+        # previous output and the padded buffer are dropped before the
+        # next allocation, so at most two frames are live.
+        for block, lead in self._passes[flip]:
+            width = block.shape[1]
+            padded = np.zeros((-(-n // BLOCK) * BLOCK + width - BLOCK, n))
+            padded[lead:lead + n] = img.T
+            del img
+            # output line b * BLOCK + r is block[r] @ padded[b * BLOCK:][:width]
+            windows = sliding_window_view(padded, width, axis=0)[::BLOCK]
+            img = (block @ windows.transpose(0, 2, 1)).reshape(-1, n)[:n]
+            del padded, windows
         return img.ravel()
 
+    def _apply(self, v):
+        return self._product(v, False)
+
     def _apply_adjoint(self, w):
-        img = w.reshape(self.side, self.side)
-        for kernel in reversed(self.factors):
-            img = self._shifted_accumulate(img, True, kernel)
-        return img.ravel()
+        return self._product(w, True)
 
     def column_abs_sums(self):
         # entries are products of nonnegative kernel weights, so the
         # absolute column sums are just the adjoint applied to ones
         return self.apply_adjoint(np.ones(self.rows))
+
+
+def _toeplitz_block(taps):
+    """BLOCK x (BLOCK + k - 1) matrix with taps[q] on its q-th superdiagonal."""
+    block = np.zeros((BLOCK, BLOCK + len(taps) - 1))
+    lines = np.arange(BLOCK)
+    for q, tap in enumerate(taps):
+        block[lines, lines + q] = tap
+    return block
 
 
 def _rank1_factors(psf):
@@ -212,6 +253,8 @@ def _rank1_factors(psf):
     ``outer(g, g)`` are ``g`` up to scale. They are accepted only if their
     outer product reproduces psf to 8 eps of its largest entry. A kernel
     that is already a single row or column gains nothing from a split.
+    A split kernel runs as one blocked banded product per factor (see
+    ``PsfConvolutionMap``), not as one full-image pass per tap.
     """
     if min(psf.shape) == 1:
         return None

@@ -1,5 +1,7 @@
 """Operator abstractions: dense, diagonal, convolution, kernels, image IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from idarr.arrayio import read_array, write_array
 from idarr.errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 from idarr.linops import (
+    BLOCK,
     DenseMap,
     DiagonalMap,
     PsfConvolutionMap,
@@ -218,6 +221,69 @@ class TestSeparablePsf:
             adj = reference_shifted_accumulate(lm.psf, img, True).ravel()
             assert lm.apply(v).tobytes() == fwd.tobytes()
             assert lm.apply_adjoint(v).tobytes() == adj.tobytes()
+
+
+def assert_adjoint_is_bitwise_transpose(lm, pixels=None):
+    """adjoint_as_dense(lm) is bitwise lm.as_dense().T.
+
+    Given ``pixels``, only the adjoint's columns there are compared, with
+    the forward matrix's rows there, so a large frame needs neither
+    ``rows x cols`` matrix.
+    """
+    if pixels is None:
+        np.testing.assert_array_equal(adjoint_as_dense(lm), lm.as_dense().T)
+        return
+    fwd_rows = np.empty((len(pixels), lm.cols))
+    e = np.zeros(lm.cols)
+    for j in range(lm.cols):
+        e[j] = 1.0
+        fwd_rows[:, j] = lm.apply(e)[pixels]
+        e[j] = 0.0
+    for row, i in zip(fwd_rows, pixels):
+        e[i] = 1.0
+        np.testing.assert_array_equal(lm.apply_adjoint(e), row)
+        e[i] = 0.0
+
+
+EDGE_KERNELS = {
+    "gaussian-1.5": gaussian_psf(1.5),
+    "gaussian-6-longer-than-a-block": gaussian_psf(6.0),
+    "even-4x6-with-zero-tap": np.outer([1.0, 3.0, 2.0, 0.5], [2.0, 1.0, 0.0, 4.0, 1.0, 0.25]),
+    "asymmetric-2x7": np.outer([0.3, 1.0], [1.0, 5.0, 2.0, 0.1, 3.0, 0.7, 0.2]),
+    "delta": np.diag([0.0, 1.0, 0.0]),
+}
+
+
+class TestBandedPsfEdges:
+    """The blocked products around the block size, for every kind of factor."""
+
+    @pytest.mark.parametrize("side", [1, 2, 15, 16, 17, 31, 32, 33, 65])
+    @pytest.mark.parametrize("kernel", list(EDGE_KERNELS))
+    def test_matches_2d_pass_and_adjoint_is_transpose(self, side, kernel, rng):
+        lm = PsfConvolutionMap(side, EDGE_KERNELS[kernel])
+        assert len(lm.factors) == 2
+        TestSeparablePsf().check_against_reference(lm, rng)
+        if side <= 33:
+            assert_adjoint_is_bitwise_transpose(lm)
+        else:
+            # the block edges in both axes; the full matrices take 143 MB each
+            edges = [i for i in range(side) if i % BLOCK in (0, 1, BLOCK - 1)]
+            pixels = [r * side + c for r in edges for c in edges]
+            assert_adjoint_is_bitwise_transpose(lm, pixels)
+
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    def test_product_keeps_at_most_two_frames_live(self, direction, rng):
+        side = 256
+        product = getattr(PsfConvolutionMap(side, gaussian_psf(2.0)), direction)
+        v = rng.uniform(0.0, 1.0, side * side)
+        product(v)
+        tracemalloc.start()
+        try:
+            product(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * v.nbytes
 
 
 class TestGaussianPsf:
