@@ -23,6 +23,34 @@ from .errors import NumericalBreakdownError, StateError, TrivialDataError
 _EPS = np.finfo(float).eps
 
 
+class _Rows:
+    """Vectors kept as the rows of a C-ordered array that doubles when full.
+
+    Growing copies the filled rows once. A view of the filled rows taken
+    before a growth keeps reading the old array, which is never written again.
+    """
+
+    def __init__(self, first_rows):
+        self._buf = np.empty((0, 0))
+        self._first_rows = first_rows
+        self.count = 0
+
+    def next_row(self, shape):
+        """The next unfilled row (a writable view), growing the array if full."""
+        if self.count == len(self._buf):
+            grown = np.empty((max(2 * self.count, self._first_rows), *shape))
+            if self.count:
+                grown[: self.count] = self._buf
+            self._buf = grown
+        self.count += 1
+        return self._buf[self.count - 1]
+
+    def filled(self):
+        view = self._buf[: self.count]
+        view.flags.writeable = False
+        return view
+
+
 def _finite(value, name):
     if not math.isfinite(value):
         raise NumericalBreakdownError(f"{name} is not finite ({value})")
@@ -53,8 +81,9 @@ class BidiagProcess:
 
     alphas holds the diagonal couplings (alpha_1, alpha_2, ...) and betas
     the data-space couplings (beta_1 = data norm, beta_2, ...). U, Z, Zbar
-    hold the generated directions when vectors are kept; Zbar[i] is the
-    shadow K Z[i]. reason is None while the process runs and "alpha" or
+    are read-only arrays whose rows are the generated directions when
+    vectors are kept (U holds only u_1 otherwise); Zbar[i] is the shadow
+    K Z[i]. reason is None while the process runs and "alpha" or
     "beta" once that coupling vanished; terminated and k_t, the exhaustion
     step, are read from it. Once terminated, betas has one more entry than
     alphas (the closing coupling, zero if the data-space direction vanished).
@@ -69,8 +98,8 @@ class BidiagProcess:
     pinv_apply : callable or None
         Action of K^+ on a vector; None means the identity metric.
     reorthogonalize : bool
-        Re-project each new direction against all previous ones (twice,
-        modified Gram-Schmidt). Implies keeping the full history.
+        Re-project each new direction against all previous ones (block
+        classical Gram-Schmidt, twice). Implies keeping the full history.
     keep_vectors : bool
         Retain all generated vectors; reorthogonalize overrides False.
     """
@@ -89,10 +118,9 @@ class BidiagProcess:
         self.reason = None
         self.alphas = []
         self.betas = [beta1]
-        self.u = b / beta1
-        self.U = [self.u]
-        self.Z = []
-        self.Zbar = []
+        first_rows = 8 if self.keep_vectors else 1
+        self._U, self._Z, self._Zbar = _Rows(first_rows), _Rows(first_rows), _Rows(first_rows)
+        self.u = np.divide(b, beta1, out=self._U.next_row(b.shape))
         self.z = None
         self.zbar = None
         # only an exactly zero first pairing means the data carries no
@@ -111,6 +139,18 @@ class BidiagProcess:
     def k_t(self):
         return len(self.alphas) if self.terminated else None
 
+    @property
+    def U(self):
+        return self._U.filled()
+
+    @property
+    def Z(self):
+        return self._Z.filled()
+
+    @property
+    def Zbar(self):
+        return self._Zbar.filled()
+
     def _checked_pairing(self, s, p, abs_tol=0.0):
         # the exact pairing is a positive semidefinite quadratic form; a
         # negative value is roundoff unless it is large both relative to the
@@ -128,22 +168,24 @@ class BidiagProcess:
     def _extend(self, p):
         """Turn p = A^T u - beta zbar into the next direction, unless alpha vanishes."""
         s = self.pinv_apply(p)
-        if self.reorthogonalize:
+        if self.reorthogonalize and self._Z.count:
+            z, zbar = self.Z, self.Zbar
             for _ in range(2):
-                for zj, zbarj in zip(self.Z, self.Zbar):
-                    c = float(s @ zbarj)
-                    s -= c * zj
-                    p -= c * zbarj
+                c = zbar @ s
+                s -= c @ z
+                if s is not p:  # the identity metric hands back p itself
+                    p -= c @ zbar
         alpha = float(np.sqrt(self._checked_pairing(s, p, self._tol)))
         if alpha <= self._tol:
             self.reason = "alpha"
             return
-        self.z = s / alpha
-        self.zbar = p / alpha
-        self.alphas.append(alpha)
         if self.keep_vectors:
-            self.Z.append(self.z)
-            self.Zbar.append(self.zbar)
+            self.z = np.divide(s, alpha, out=self._Z.next_row(s.shape))
+            self.zbar = np.divide(p, alpha, out=self._Zbar.next_row(p.shape))
+        else:
+            self.z = s / alpha
+            self.zbar = p / alpha
+        self.alphas.append(alpha)
 
     def advance(self):
         """Produce couplings (alpha_{i+1}, beta_{i+1}) and the next directions.
@@ -156,18 +198,19 @@ class BidiagProcess:
             raise StateError("process already terminated")
         r = self.linmap.apply(self.z) - self.alphas[-1] * self.u
         if self.reorthogonalize:
+            u = self.U
             for _ in range(2):
-                for uj in self.U:
-                    r -= (uj @ r) * uj
+                r -= (u @ r) @ u
         beta = _finite(float(np.linalg.norm(r)), "coupling beta")
         if beta <= self._tol:
             self.reason = "beta"
             self.betas.append(0.0)
             return BidiagStep(0.0, 0.0, None, None, "beta")
-        self.u = r / beta
-        self.betas.append(beta)
         if self.keep_vectors:
-            self.U.append(self.u)
+            self.u = np.divide(r, beta, out=self._U.next_row(r.shape))
+        else:
+            self.u = r / beta
+        self.betas.append(beta)
         self._extend(self.linmap.apply_adjoint(self.u) - beta * self.zbar)
         if self.terminated:
             return BidiagStep(0.0, beta, None, None, self.reason)

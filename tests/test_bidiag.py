@@ -22,6 +22,7 @@ from idarr import (
     add_noise,
     clean_problem,
     generalized_eig,
+    make_fredholm,
     run_bidiag,
     true_solution,
 )
@@ -58,6 +59,48 @@ def classical_gkb(mat, b, steps):
         alpha.append(anext)
         w.append(r / anext)
     return alpha, beta, u, w
+
+
+def mgs_bidiag(linmap, b, pinv_apply, steps):
+    """Reference process reorthogonalized as before block products: per-vector
+    modified Gram-Schmidt loops, twice, on lists of vectors. Same exhaustion
+    rule as BidiagProcess (an exactly zero first pairing, then the roundoff
+    floor)."""
+    eps = np.finfo(float).eps
+    beta1 = float(np.linalg.norm(b))
+    us, zs, zbars, alphas, betas = [b / beta1], [], [], [], [beta1]
+
+    def extend(p, tol):
+        s = pinv_apply(p)
+        for _ in range(2):
+            for zj, zbarj in zip(zs, zbars):
+                c = float(s @ zbarj)
+                s -= c * zj
+                p -= c * zbarj
+        alpha = float(np.sqrt(max(float(s @ p), 0.0)))
+        if alpha <= tol:
+            return False
+        zs.append(s / alpha)
+        zbars.append(p / alpha)
+        alphas.append(alpha)
+        return True
+
+    extend(linmap.apply_adjoint(us[0]), 0.0)
+    tol = max(linmap.rows, linmap.cols) * eps * max(alphas[0], beta1)
+    for _ in range(steps):
+        r = linmap.apply(zs[-1]) - alphas[-1] * us[-1]
+        for _ in range(2):
+            for uj in us:
+                r -= (uj @ r) * uj
+        beta = float(np.linalg.norm(r))
+        if beta <= tol:
+            betas.append(0.0)
+            break
+        us.append(r / beta)
+        betas.append(beta)
+        if not extend(linmap.apply_adjoint(us[-1]) - beta * zbars[-1], tol):
+            break
+    return alphas, betas, np.array(us), np.array(zs), np.array(zbars)
 
 
 class TestFirstStepByHand:
@@ -331,3 +374,104 @@ class TestStateManagement:
         geom = toy_geom()
         factors = run_bidiag(geom, np.array([1.0, 0.0]), 10)
         np.testing.assert_allclose(factors.bidiagonal_matrix(1), [[6.0], [0.0]], atol=1e-12)
+
+
+class TestBlockReorthogonalization:
+    """Block classical Gram-Schmidt, twice, against the per-vector MGS loops
+    it replaced, on instances that run past several storage growths."""
+
+    STEPS = 60
+
+    @pytest.fixture(scope="class", params=["exp", "poly"])
+    def runs(self, request):
+        setup = make_fredholm(request.param, 300, 200)
+        b = add_noise(clean_problem(setup, true_solution(setup, "in-range")), 0.01, 1).b
+        geom = setup.geom
+        proc = run_bidiag(geom, b, self.STEPS, reorthogonalize=True)
+        ref = mgs_bidiag(geom.linmap, b, geom.apply_crkhs_pinv, self.STEPS)
+        return request.param, proc, ref
+
+    def test_matches_mgs_reference(self, runs):
+        kernel, proc, (alphas, betas, u, z, zbar) = runs
+        assert len(proc.alphas) == len(alphas) and len(proc.betas) == len(betas)
+        assert proc.U.shape == u.shape and proc.Z.shape == z.shape
+        scale = max(max(alphas), max(betas))
+        # every coupling on the operator's roundoff scale
+        np.testing.assert_allclose(proc.alphas, alphas, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(proc.betas, betas, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(proc.U, u, rtol=0, atol=1e-10)
+        # entrywise on the steps whose couplings stand above sqrt(eps) of the
+        # largest: exp reaches its numerical rank at step 10, where couplings
+        # near 1e-13 of the largest leave the last directions set by roundoff
+        # (a 1e-15 relative change of b moves the MGS reference's z_9 by 2e-9)
+        tiny = np.sqrt(np.finfo(float).eps) * scale
+        k = next((i for i, (al, be) in enumerate(zip(alphas, betas)) if min(al, be) < tiny),
+                 len(alphas))
+        assert k >= (6 if kernel == "exp" else self.STEPS)
+        np.testing.assert_allclose(proc.alphas[:k], alphas[:k], rtol=1e-12)
+        np.testing.assert_allclose(proc.betas[:k], betas[:k], rtol=1e-12)
+        for got, want in ((proc.Z, z), (proc.Zbar, zbar)):
+            for i in range(k):
+                np.testing.assert_allclose(got[i], want[i], rtol=0,
+                                           atol=1e-10 * np.abs(want[i]).max())
+
+    def test_orthonormality(self, runs):
+        kernel, proc, _ = runs
+        u_dev, pair_dev = orthonormality_loss(proc)
+        assert u_dev <= 1e-12
+        # exp's kernel pairing at its numerical rank: the MGS reference loses
+        # 1.8e-10 here, so it is held to TestOrthogonality's 1e-8
+        assert pair_dev <= (1e-8 if kernel == "exp" else 1e-10)
+
+    def test_identity_metric_reorthogonalizes_once_per_pass(self, rng):
+        # K^+ = I hands p back as s; subtracting from both would reflect the
+        # component instead of removing it, leaving the loss of the bare run
+        a = rng.standard_normal((60, 40))
+        b = rng.standard_normal(60)
+        proc = BidiagProcess(DenseMap(a), b, reorthogonalize=True)
+        ref = mgs_bidiag(DenseMap(a), b, lambda p: p.copy(), 30)
+        for _ in range(30):
+            proc.advance()
+        assert max(orthonormality_loss(proc)) <= 1e-14
+        np.testing.assert_allclose(proc.alphas, ref[0], rtol=1e-12)
+        np.testing.assert_allclose(proc.Z, ref[3], rtol=0, atol=1e-12)
+
+    def test_identity_metric_exhausts_at_full_dimension(self, rng):
+        # ten singular values within 1e-3 of 1 and twenty from 0.1 to 1e-3;
+        # reflecting instead of removing loses 3e-12 on this draw, and on
+        # other draws ran past n = 30 with a pairing loss near 0.6
+        q1 = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        s = np.concatenate([1.0 + 1e-4 * np.arange(10), np.geomspace(1e-1, 1e-3, 20)])
+        proc = BidiagProcess(DenseMap((q1[:, :30] * s) @ q2.T), rng.standard_normal(40),
+                             reorthogonalize=True)
+        while not proc.terminated and len(proc.alphas) <= 30:
+            proc.advance()
+        assert proc.k_t == 30
+        assert max(orthonormality_loss(proc)) <= 1e-14
+
+    def test_no_kept_vectors_hold_only_the_first_u(self, rng):
+        geom, b = gaussian_instance(rng, 60, 40)
+        proc = BidiagProcess(geom.linmap, b, pinv_apply=geom.apply_crkhs_pinv)
+        for _ in range(20):
+            proc.advance()
+        assert proc.U.shape == (1, 60) and len(proc.Z) == 0 and len(proc.Zbar) == 0
+        np.testing.assert_array_equal(proc.U[0], b / np.linalg.norm(b))
+
+    def test_views_survive_growth(self, rng):
+        geom, b = gaussian_instance(rng, 60, 40)
+        proc = BidiagProcess(geom.linmap, b, pinv_apply=geom.apply_crkhs_pinv,
+                             keep_vectors=True)
+        views, copies = [], []
+        for _ in range(20):  # the kept rows grow from 8 to 16 to 32
+            views.append((proc.U, proc.Z, proc.Zbar))
+            copies.append(tuple(v.copy() for v in views[-1]))
+            proc.advance()
+        for (u, z, zbar), (u0, z0, zbar0) in zip(views, copies):
+            for view, values, full in ((u, u0, proc.U), (z, z0, proc.Z), (zbar, zbar0, proc.Zbar)):
+                assert not view.flags.writeable and view.flags.c_contiguous
+                np.testing.assert_array_equal(view, values)
+                np.testing.assert_array_equal(full[: len(values)], values)
+        assert len(proc.U) == 21 and len(proc.Z) == 21
+        np.testing.assert_array_equal(proc.Z[-1], proc.z)
+        np.testing.assert_array_equal(proc.U[-1], proc.u)

@@ -419,6 +419,53 @@ class TestArrayIo:
         with pytest.raises(IoError):
             read_array(path)
 
+    def test_extra_trailing_byte_raises(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(b"f64le 2\n" + b"\x00" * 17)
+        with pytest.raises(IoError, match="expected 16 payload bytes"):
+            read_array(path)
+
+    def test_huge_shape_with_short_payload_raises_before_allocating(self, tmp_path):
+        # 1.28e20 bytes: an allocation would raise MemoryError, not IoError
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"f64le 4000000000 4000000000\n" + b"\x00" * 16)
+        with pytest.raises(IoError, match="got 16"):
+            read_array(path)
+
+    @pytest.mark.parametrize("header", [b"f64le -2 -3\n", b"f64le -6\n", b"f64le\n", b"f64le 2 -1\n"])
+    def test_negative_or_missing_dimensions_raise(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(header + b"\x00" * 48)
+        with pytest.raises(IoError, match="bad dimensions"):
+            read_array(path)
+        path.write_bytes(header)  # an empty payload is no excuse either
+        with pytest.raises(IoError, match="bad dimensions"):
+            read_array(path)
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 3), (2, 3, 2), (0,), (3, 0)])
+    def test_result_is_writable_and_bitwise(self, tmp_path, rng, shape):
+        a = rng.standard_normal(shape)
+        a.flat[::3] = [-0.0, np.inf, np.nan, 5e-324][: a.flat[::3].size]
+        path = tmp_path / "a.bin"
+        write_array(path, a)
+        got = read_array(path)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert got.tobytes() == a.tobytes()
+        got[...] = 1.0  # writable in place
+
+    def test_solve_on_negative_dimension_header_exits_2(self, tmp_path, rng, capsys):
+        from idarr.cli import main
+        from idarr.problems import save_operator
+
+        desc = save_operator(DenseMap(rng.standard_normal((6, 4))), str(tmp_path))
+        data = tmp_path / "b.bin"
+        data.write_bytes(b"f64le -2 -3\n" + b"\x00" * 48)
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", str(data), "--out", str(out)]) == 2
+        assert "bad dimensions" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=40))
     def test_round_trip_property(self, tmp_path_factory, values):
