@@ -137,28 +137,31 @@ class PsfConvolutionMap(LinearMap):
     Vectors are row-major flattenings of side x side images. The forward
     action convolves with the kernel; the adjoint correlates with it.
 
-    A kernel of numerical rank 1 (``gaussian_psf`` is ``outer(g, g)``) is
-    kept in ``self.factors`` as a ``kp x 1`` column factor and a ``1 x kq``
-    row factor, and each product is two 1-D passes of blocked matrix
-    products: the row pass, then the column pass, in both directions.
-    A pass zero-pads its axis, so every ``BLOCK`` output lines see one
-    Toeplitz block of the factor's taps applied to ``BLOCK + k - 1`` input
-    lines; the map keeps one such block per factor and direction. At most
-    two frames are live during a product. Any other kernel is a single
-    factor, applied by direct shifted accumulation, one full-image pass
-    per nonzero tap.
+    The kernel is kept in ``self.terms`` as ``(column, row)`` pairs whose
+    outer products sum to it (``_separable_terms``); a kernel of numerical
+    rank 1, such as ``gaussian_psf``'s ``outer(g, g)``, is one term. Each
+    term is two 1-D passes of blocked matrix products: the row pass, then
+    the column pass, in both directions. A pass zero-pads its axis, so
+    every ``BLOCK`` output lines see one Toeplitz block of the taps applied
+    to ``BLOCK + k - 1`` input lines; the map keeps one such block per
+    term, pass and direction. The first term's output is the accumulator
+    and the later terms are added to it in place, in order, so at most two
+    frames are live for one term and three for more.
 
-    Each entry of the realized matrix is one rounded product of factor
-    weights, summed with exact zeros only, so ``as_dense()`` of the
-    adjoint is bitwise the transpose of ``as_dense()`` of the forward
-    action; on a general vector the two actions agree with that matrix up
-    to the rounding of their sums. The factored matrix differs from
-    ``self.psf`` (the normalized kernel, as given) by at most
-    ``8 * eps * max(psf)`` per entry.
+    Each term's entry of the realized matrix is one rounded product of its
+    column and row weights, and the terms are summed in the same order in
+    both directions, so ``as_dense()`` of the adjoint is bitwise the
+    transpose of ``as_dense()`` of the forward action; on a general vector
+    the two actions agree with that matrix up to the rounding of their
+    sums. The terms' outer products differ from ``self.psf`` (the
+    normalized kernel, as given) by at most ``8 * eps * max(psf)`` per
+    entry.
     """
 
     def __init__(self, side, psf):
         side = int(side)
+        if side < 1:
+            raise DimensionError(f"image side must be positive, got {side}")
         psf = np.asarray(psf, dtype=np.float64)
         if psf.ndim != 2:
             raise DimensionError(f"psf must be 2-d, got shape {psf.shape}")
@@ -172,57 +175,41 @@ class PsfConvolutionMap(LinearMap):
         super().__init__(side * side, side * side)
         self.side = side
         self.psf = psf / total
-        self.factors = _rank1_factors(self.psf) or [self.psf]
-        if len(self.factors) == 2:
-            # (block, zero lines ahead of the frame) per pass, row factor
-            # first: the convolution slides the reversed taps, the
-            # correlation the taps as given
-            taps = [self.factors[1].ravel(), self.factors[0].ravel()]
-            self._passes = {
-                False: [(_toeplitz_block(t[::-1]), len(t) - 1 - len(t) // 2) for t in taps],
-                True: [(_toeplitz_block(t), len(t) // 2) for t in taps],
-            }
-
-    def _shifted_accumulate(self, img, flip):
-        n = self.side
-        kp, kq = self.psf.shape
-        cp, cq = kp // 2, kq // 2
-        out = np.zeros_like(img)
-        for p in range(kp):
-            for q in range(kq):
-                w = self.psf[p, q]
-                if w == 0.0:
-                    continue
-                dp, dq = p - cp, q - cq
-                if flip:
-                    dp, dq = -dp, -dq
-                # out[i, j] += w * img[i - dp, j - dq], zero outside the frame
-                r0, r1 = max(dp, 0), n + min(dp, 0)
-                c0, c1 = max(dq, 0), n + min(dq, 0)
-                if r0 >= r1 or c0 >= c1:
-                    continue
-                out[r0:r1, c0:c1] += w * img[r0 - dp:r1 - dp, c0 - dq:c1 - dq]
-        return out
+        self.terms = _separable_terms(self.psf)
+        # per term, (block, zero lines ahead of the frame) per pass, row
+        # taps first: the convolution slides the reversed taps, the
+        # correlation the taps as given
+        self._passes = {
+            False: [[(_toeplitz_block(t[::-1]), len(t) - 1 - len(t) // 2) for t in (row, col)]
+                    for col, row in self.terms],
+            True: [[(_toeplitz_block(t), len(t) // 2) for t in (row, col)]
+                   for col, row in self.terms],
+        }
 
     def _product(self, v, flip):
         n = self.side
-        img = v.reshape(n, n)
-        if len(self.factors) == 1:
-            return self._shifted_accumulate(img, flip).ravel()
         # Each pass runs on the transpose of its input, so the row pass
         # comes first and the column pass leaves a C-ordered frame. The
         # previous output and the padded buffer are dropped before the
-        # next allocation, so at most two frames are live.
-        for block, lead in self._passes[flip]:
-            width = block.shape[1]
-            padded = np.zeros((-(-n // BLOCK) * BLOCK + width - BLOCK, n))
-            padded[lead:lead + n] = img.T
-            del img
-            # output line b * BLOCK + r is block[r] @ padded[b * BLOCK:][:width]
-            windows = sliding_window_view(padded, width, axis=0)[::BLOCK]
-            img = (block @ windows.transpose(0, 2, 1)).reshape(-1, n)[:n]
-            del padded, windows
-        return img.ravel()
+        # next allocation, so a pass holds at most two frames besides the
+        # accumulator.
+        total = None
+        for passes in self._passes[flip]:
+            img = v.reshape(n, n)
+            for block, lead in passes:
+                width = block.shape[1]
+                padded = np.zeros((-(-n // BLOCK) * BLOCK + width - BLOCK, n))
+                padded[lead:lead + n] = img.T
+                del img
+                # output line b * BLOCK + r is block[r] @ padded[b * BLOCK:][:width]
+                windows = sliding_window_view(padded, width, axis=0)[::BLOCK]
+                img = (block @ windows.transpose(0, 2, 1)).reshape(-1, n)[:n]
+                del padded, windows
+            if total is None:
+                total = img
+            else:
+                total += img
+        return total.ravel()
 
     def _apply(self, v):
         return self._product(v, False)
@@ -231,8 +218,8 @@ class PsfConvolutionMap(LinearMap):
         return self._product(w, True)
 
     def column_abs_sums(self):
-        # entries are products of nonnegative kernel weights, so the
-        # absolute column sums are just the adjoint applied to ones
+        # entries are the nonnegative kernel weights up to roundoff, so the
+        # absolute column sums are the adjoint applied to ones
         return self.apply_adjoint(np.ones(self.rows))
 
 
@@ -245,26 +232,28 @@ def _toeplitz_block(taps):
     return block
 
 
-def _rank1_factors(psf):
-    """Column and row kernels whose outer product is psf, or None.
+def _separable_terms(psf):
+    """(column, row) pairs whose outer products sum to psf to 8 eps of its peak.
 
-    The factors are the column and the row through the largest entry, the
-    row divided by that entry; no SVD is involved, so the factors of
-    ``outer(g, g)`` are ``g`` up to scale. They are accepted only if their
-    outer product reproduces psf to 8 eps of its largest entry. A kernel
-    that is already a single row or column gains nothing from a split.
-    A split kernel runs as one blocked banded product per factor (see
-    ``PsfConvolutionMap``), not as one full-image pass per tap.
+    Cross approximation with complete pivoting: each term is the column
+    and the row of the residual through its largest entry, the row divided
+    by that entry, and its outer product is subtracted from the residual.
+    It stops once no residual entry exceeds ``8 * eps * max(psf)``, after
+    at most ``min(psf.shape)`` terms. No SVD is involved, so the one term
+    of ``outer(g, g)`` is ``g`` up to scale, and a kernel of rank r gives
+    r terms in exact arithmetic.
     """
-    if min(psf.shape) == 1:
-        return None
-    i, j = np.unravel_index(np.argmax(psf), psf.shape)
-    peak = psf[i, j]
-    col = psf[:, j]
-    row = psf[i, :] / peak
-    if np.max(np.abs(np.outer(col, row) - psf)) > 8.0 * np.finfo(np.float64).eps * peak:
-        return None
-    return [col[:, None], row[None, :]]
+    tol = 8.0 * np.finfo(np.float64).eps * psf.max()
+    residual = psf.copy()
+    terms = []
+    while len(terms) < min(psf.shape):
+        i, j = np.unravel_index(np.argmax(np.abs(residual)), psf.shape)
+        col, row = residual[:, j].copy(), residual[i, :] / residual[i, j]
+        terms.append((col, row))
+        residual -= np.outer(col, row)
+        if np.max(np.abs(residual)) <= tol:
+            break
+    return terms
 
 
 def exp_decay_kernel(t, s):

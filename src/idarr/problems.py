@@ -275,7 +275,9 @@ def load_operator(desc_path):
         if kind == "diagonal":
             return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
         if kind == "psf":
-            psf, side = read_psf_text(os.path.join(base, desc["psf"])), int(desc["side"])
+            psf, side = read_psf_text(os.path.join(base, desc["psf"])), desc["side"]
+            if type(side) is not int:
+                raise IoError(f"{desc_path}: descriptor side {side!r} is not an integer")
             _check_psf_size(psf.shape, side)  # as make_deblur does
             return PsfConvolutionMap(side, psf)
     except KeyError as exc:

@@ -451,6 +451,19 @@ def test_bad_psf_grid_is_io_error(tmp_path, capsys, command, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side", [8.9, "8", 8.0, True])
+def test_non_integer_psf_side_is_io_error(tmp_path, capsys, side):
+    (tmp_path / "psf.txt").write_text("1 2 1\n2 4 2\n1 2 1\n")
+    desc = tmp_path / "op.json"
+    desc.write_text(json.dumps({"kind": "psf", "side": side, "psf": "psf.txt"}))
+    write_array(str(tmp_path / "b.bin"), np.ones(64))
+    out = tmp_path / "x.bin"
+    assert main(["solve", "--operator", str(desc), "--data", str(tmp_path / "b.bin"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("io error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

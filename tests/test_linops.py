@@ -97,6 +97,11 @@ class TestPsfConvolution:
         with pytest.raises(GeometryError):
             PsfConvolutionMap(8, bad)
 
+    @pytest.mark.parametrize("side", [0, -3])
+    def test_nonpositive_side_rejected(self, side):
+        with pytest.raises(DimensionError):
+            PsfConvolutionMap(side, np.ones((3, 3)))
+
     @pytest.mark.parametrize("side,width", [(8, 0.8), (12, 1.5), (16, 2.0)])
     def test_matches_brute_force_dense_matrix(self, side, width, rng):
         lm = PsfConvolutionMap(side, gaussian_psf(width))
@@ -153,8 +158,13 @@ def adjoint_as_dense(lm):
     return out
 
 
+def disk_psf(radius):
+    r = np.arange(-radius, radius + 1)
+    return (r[:, None] ** 2 + r[None, :] ** 2 <= radius**2).astype(np.float64)
+
+
 class TestSeparablePsf:
-    """Rank-1 kernels run as two 1-D passes; others keep the 2-D pass bitwise."""
+    """Every kernel runs as a sum of separable terms, each two 1-D passes."""
 
     RTOL = 1e-13
 
@@ -172,7 +182,8 @@ class TestSeparablePsf:
     @pytest.mark.parametrize("width", [0.8, 1.5, 2.2, 3.0])
     def test_gaussian_matches_2d_pass(self, side, width, rng):
         lm = PsfConvolutionMap(side, gaussian_psf(width))
-        assert [k.shape for k in lm.factors] == [(lm.psf.shape[0], 1), (1, lm.psf.shape[1])]
+        kp, kq = lm.psf.shape
+        assert [(c.shape, r.shape) for c, r in lm.terms] == [((kp,), (kq,))]
         self.check_against_reference(lm, rng)
 
     @pytest.mark.parametrize("side", [8, 12, 33])
@@ -181,46 +192,67 @@ class TestSeparablePsf:
         a = rng.uniform(0.1, 1.0, shape[0])
         b = rng.uniform(0.1, 1.0, shape[1])
         lm = PsfConvolutionMap(side, np.outer(a, b))
-        assert len(lm.factors) == 2
+        assert len(lm.terms) == 1
         self.check_against_reference(lm, rng)
 
     def test_delta_psf_matches_2d_pass(self, rng):
         psf = np.zeros((3, 3))
         psf[1, 1] = 1.0
         lm = PsfConvolutionMap(12, psf)
-        assert len(lm.factors) == 2
+        assert len(lm.terms) == 1
         self.check_against_reference(lm, rng)
 
     @pytest.mark.parametrize(
-        "psf,n_factors",
+        "psf,n_terms",
         [
-            (gaussian_psf(1.3), 2),
-            (np.outer([1.0, 3.0, 2.0, 0.5], [2.0, 1.0, 0.0, 4.0, 1.0]), 2),
-            (np.sqrt(np.arange(25.0)).reshape(5, 5), 1),
+            (gaussian_psf(1.3), 1),
+            (np.outer([1.0, 3.0, 2.0, 0.5], [2.0, 1.0, 0.0, 4.0, 1.0]), 1),
+            (np.sqrt(np.arange(25.0)).reshape(5, 5), 5),
         ],
     )
-    def test_adjoint_matrix_is_bitwise_transpose(self, psf, n_factors):
+    def test_adjoint_matrix_is_bitwise_transpose(self, psf, n_terms):
         lm = PsfConvolutionMap(9, psf)
-        assert len(lm.factors) == n_factors
+        assert len(lm.terms) == n_terms
         np.testing.assert_array_equal(adjoint_as_dense(lm), lm.as_dense().T)
 
-    @pytest.mark.parametrize("kind", ["random", "rank1-off-by-1e-12"])
-    def test_non_separable_psf_is_bitwise_2d_pass(self, kind, rng):
-        if kind == "random":
+    @pytest.mark.parametrize(
+        "shift", [None, 1e-12, -1e-12], ids=["random", "rank1-plus-1e-12", "rank1-minus-1e-12"]
+    )
+    def test_non_separable_psf_matches_2d_pass(self, shift, rng):
+        if shift is None:
             psf = rng.uniform(0.0, 1.0, (5, 5))
         else:
-            # a rank-1 kernel moved by far more than the 8 eps acceptance bound
+            # a rank-1 kernel moved by far more than the 8 eps bound
             psf = gaussian_psf(0.8)
-            psf[0, 1] += 1e-12 * psf.max()
+            psf[0, 1] += shift * psf.max()
         lm = PsfConvolutionMap(12, psf)
-        assert len(lm.factors) == 1
-        for _ in range(3):
-            v = rng.standard_normal(144)
-            img = v.reshape(12, 12)
-            fwd = reference_shifted_accumulate(lm.psf, img, False).ravel()
-            adj = reference_shifted_accumulate(lm.psf, img, True).ravel()
-            assert lm.apply(v).tobytes() == fwd.tobytes()
-            assert lm.apply_adjoint(v).tobytes() == adj.tobytes()
+        assert len(lm.terms) > 1
+        self.check_against_reference(lm, rng)
+        assert_adjoint_is_bitwise_transpose(lm)
+
+    @pytest.mark.parametrize(
+        "kernel,max_terms",
+        [("1x7", 1), ("7x1", 1), ("cross-3x3", 2), ("disk-r3", 3), ("random-13x13", 13)],
+    )
+    @pytest.mark.parametrize("side", [8, 17, 33, 65])
+    def test_terms_sum_to_kernel_and_match_2d_pass(self, kernel, max_terms, side, rng):
+        psf = {
+            "1x7": rng.uniform(0.1, 1.0, (1, 7)),
+            "7x1": rng.uniform(0.1, 1.0, (7, 1)),
+            "cross-3x3": np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]]),
+            "disk-r3": disk_psf(3),
+            "random-13x13": rng.uniform(0.0, 1.0, (13, 13)),
+        }[kernel]
+        lm = PsfConvolutionMap(side, psf)
+        if kernel == "random-13x13":
+            assert len(lm.terms) <= max_terms
+        else:
+            assert len(lm.terms) == max_terms
+        summed = sum(np.outer(c, r) for c, r in lm.terms)
+        assert np.max(np.abs(summed - lm.psf)) <= 8.0 * np.finfo(np.float64).eps * lm.psf.max()
+        self.check_against_reference(lm, rng)
+        if side <= 33:
+            assert_adjoint_is_bitwise_transpose(lm)
 
 
 def assert_adjoint_is_bitwise_transpose(lm, pixels=None):
@@ -261,7 +293,7 @@ class TestBandedPsfEdges:
     @pytest.mark.parametrize("kernel", list(EDGE_KERNELS))
     def test_matches_2d_pass_and_adjoint_is_transpose(self, side, kernel, rng):
         lm = PsfConvolutionMap(side, EDGE_KERNELS[kernel])
-        assert len(lm.factors) == 2
+        assert len(lm.terms) == 1
         TestSeparablePsf().check_against_reference(lm, rng)
         if side <= 33:
             assert_adjoint_is_bitwise_transpose(lm)
@@ -272,9 +304,15 @@ class TestBandedPsfEdges:
             assert_adjoint_is_bitwise_transpose(lm, pixels)
 
     @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
-    def test_product_keeps_at_most_two_frames_live(self, direction, rng):
+    @pytest.mark.parametrize(
+        "psf,frames",
+        # one term: the passes' two frames; more: the accumulator as well
+        [(gaussian_psf(2.0), 2.25), (disk_psf(6), 3.25)],
+        ids=["gaussian", "disk-r6"],
+    )
+    def test_product_keeps_few_frames_live(self, psf, frames, direction, rng):
         side = 256
-        product = getattr(PsfConvolutionMap(side, gaussian_psf(2.0)), direction)
+        product = getattr(PsfConvolutionMap(side, psf), direction)
         v = rng.uniform(0.0, 1.0, side * side)
         product(v)
         tracemalloc.start()
@@ -283,7 +321,7 @@ class TestBandedPsfEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * v.nbytes
+        assert peak <= frames * v.nbytes
 
 
 class TestGaussianPsf:
