@@ -96,7 +96,8 @@ class BidiagProcess:
         Data vector; must be nonzero and finite. A non-finite data norm or
         coupling raises NumericalBreakdownError.
     pinv_apply : callable or None
-        Action of K^+ on a vector; None means the identity metric.
+        Action of K^+ on a vector, returned as a new array (the process
+        may update it in place); None means the identity metric.
     reorthogonalize : bool
         Re-project each new direction against all previous ones (block
         classical Gram-Schmidt, twice). Implies keeping the full history.
@@ -107,7 +108,7 @@ class BidiagProcess:
     def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=False):
         b = np.asarray(b, dtype=np.float64)
         self.linmap = linmap
-        self.pinv_apply = pinv_apply if pinv_apply is not None else lambda p: p
+        self.pinv_apply = pinv_apply if pinv_apply is not None else np.copy
         self.reorthogonalize = bool(reorthogonalize)
         self.keep_vectors = bool(keep_vectors or reorthogonalize)
 
@@ -173,8 +174,7 @@ class BidiagProcess:
             for _ in range(2):
                 c = zbar @ s
                 s -= c @ z
-                if s is not p:  # the identity metric hands back p itself
-                    p -= c @ zbar
+                p -= c @ zbar
         alpha = float(np.sqrt(self._checked_pairing(s, p, self._tol)))
         if alpha <= self._tol:
             self.reason = "alpha"
@@ -215,16 +215,6 @@ class BidiagProcess:
         if self.terminated:
             return BidiagStep(0.0, beta, None, None, self.reason)
         return BidiagStep(self.alphas[-1], beta, self.z, self.zbar)
-
-    def bidiagonal_matrix(self, k=None):
-        """The (k+1) x k lower bidiagonal coupling matrix."""
-        if k is None:
-            k = min(len(self.alphas), len(self.betas) - 1)
-        mat = np.zeros((k + 1, k))
-        for i in range(k):
-            mat[i, i] = self.alphas[i]
-            mat[i + 1, i] = self.betas[i + 1]
-        return mat
 
 
 def run_bidiag(geom, b, max_steps, reorthogonalize=False):

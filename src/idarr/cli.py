@@ -29,9 +29,10 @@ from .errors import (
     TrivialDataError,
     UsageError,
 )
-from .linops import write_pgm
+from .linops import KERNELS, write_pgm
 from .problems import (
     NSR_LADDER,
+    TRUTH_KINDS,
     add_noise,
     clean_problem,
     l2rho_error,
@@ -87,18 +88,12 @@ class ExperimentConfig:
     output_dir: str = "results"
 
 
-_TRUTH_ALIASES = {
-    "in": "in-range", "in-range": "in-range",
-    "out": "out-of-range", "out-of-range": "out-of-range",
-}
-
-
 def _validate_config(cfg):
-    if cfg.kernel not in ("exp", "poly"):
-        raise UsageError(f"kernel must be exp or poly, got {cfg.kernel!r}")
-    if cfg.truth not in _TRUTH_ALIASES:
-        raise UsageError(f"truth must be in-range or out-of-range, got {cfg.truth!r}")
-    cfg.truth = _TRUTH_ALIASES[cfg.truth]
+    if cfg.kernel not in KERNELS:
+        raise UsageError(f"kernel must be one of {list(KERNELS)}, got {cfg.kernel!r}")
+    if cfg.truth not in TRUTH_KINDS:
+        raise UsageError(f"truth must be one of {list(TRUTH_KINDS)}, got {cfg.truth!r}")
+    cfg.truth = TRUTH_KINDS[cfg.truth]
     if cfg.m <= 0 or cfg.n <= 0:
         raise UsageError(f"grid sizes must be positive, got m={cfg.m}, n={cfg.n}")
     if cfg.trials <= 0:
@@ -116,10 +111,11 @@ def _validate_config(cfg):
         raise UsageError(f"methods must not repeat, got {list(cfg.methods)}")
     if cfg.stop_rule not in ("lcurve", "dp"):
         raise UsageError(f"stop_rule must be lcurve or dp, got {cfg.stop_rule!r}")
-    if not 1.0 < cfg.tau < np.inf:
-        raise UsageError(f"tau must exceed 1 and be finite, got {cfg.tau}")
-    if cfg.max_iters < 10:
-        raise UsageError(f"max_iters must be at least 10, got {cfg.max_iters}")
+    try:  # the rules own the bounds on tau and max_iters; dp_stop reads tau under lcurve too
+        LCurve(max_iters=cfg.max_iters)
+        Discrepancy(0.0, cfg.tau, cfg.max_iters)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cfg.seed_base < 0:
         raise UsageError(f"seed_base must be nonnegative, got {cfg.seed_base}")
     return cfg
@@ -185,6 +181,13 @@ def row_seed(seed_base, method, nsr, trial):
     key = f"{method}|{nsr:g}|{trial}".encode("ascii")
     digest = int(hashlib.sha256(key).hexdigest()[:8], 16)
     return int(seed_base) ^ digest
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _worker_count():
@@ -318,38 +321,26 @@ def cmd_fredholm_bench(args):
     else:
         outcomes = [run_cell(*cell) for cell in cells]
 
-    write_config(cfg, os.path.join(cfg.output_dir, "config_used.cfg"))
-
-    with open(os.path.join(cfg.output_dir, "results.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(RESULT_COLUMNS))
-        writer.writeheader()
-        writer.writerows(row for row, _, _ in outcomes)
-
-    with open(os.path.join(cfg.output_dir, "stopping.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner"])
-        for row, extras, _ in outcomes:
-            if extras:  # iterative methods only
-                writer.writerow([row["method"], row["nsr"], row["trial"],
-                                 extras["k_lcurve"], extras["k_dp"], extras["weak_corner"]])
-
+    out = cfg.output_dir
+    write_config(cfg, os.path.join(out, "config_used.cfg"))
+    _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS,
+               ([row[c] for c in RESULT_COLUMNS] for row, _, _ in outcomes))
+    stop_columns = ("method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner")
+    _write_csv(os.path.join(out, "stopping.csv"), stop_columns,
+               ([{**row, **extras}[c] for c in stop_columns]
+                for row, extras, _ in outcomes if extras))  # iterative methods only
     for row, _, x in outcomes:
         name = f"{row['method']}_nsr{row['nsr']}_trial{row['trial']}.bin"
         write_array(os.path.join(sol_dir, name), x)
-
-    with open(os.path.join(cfg.output_dir, "stats.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "nsr", "count", "median", "q1", "q3",
-                         "whisker_lo", "whisker_hi", "n_outliers"])
-        for method, nsr in product(cfg.methods, (f"{v:g}" for v in cfg.nsr_ladder)):
-            vals = [float(row["l2rho_error"]) for row, _, _ in outcomes
-                    if row["method"] == method and row["nsr"] == nsr]
-            writer.writerow([method, nsr, *_boxplot_row(vals)])
-
-    print(f"wrote {len(cells)} rows to {os.path.join(cfg.output_dir, 'results.csv')}")
+    stats = []
+    for method, nsr in product(cfg.methods, (f"{v:g}" for v in cfg.nsr_ladder)):
+        vals = [float(row["l2rho_error"]) for row, _, _ in outcomes
+                if row["method"] == method and row["nsr"] == nsr]
+        stats.append([method, nsr, *_boxplot_row(vals)])
+    _write_csv(os.path.join(out, "stats.csv"),
+               ("method", "nsr", "count", "median", "q1", "q3", "whisker_lo", "whisker_hi",
+                "n_outliers"), stats)
+    print(f"wrote {len(cells)} rows to {os.path.join(out, 'results.csv')}")
     return 0
 
 
@@ -409,11 +400,8 @@ def cmd_timing(args):
         ladder, m=args.m, k_fixed=args.k_fixed, replicas=args.replicas, seed=args.seed
     )
     out_path = os.path.join(args.output_dir, "timing.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "n", "replica", "wall_time_ms"])
-        for solver, n, rep, ms in rows:
-            writer.writerow([solver, n, rep, f"{ms:.3f}"])
+    _write_csv(out_path, ("solver", "n", "replica", "wall_time_ms"),
+               ([solver, n, rep, f"{ms:.3f}"] for solver, n, rep, ms in rows))
     for solver in ("iDARR", "DARTR"):
         pretty = ", ".join(f"n={n}: {best[(solver, n)]:.2f}ms" for n in ladder)
         ratios = ", ".join(
@@ -436,7 +424,9 @@ def cmd_deblur(args):
     os.makedirs(args.output_dir, exist_ok=True)
     side = problem.linmap.side
     t0 = time.perf_counter()
-    result = run_method(args.method, problem.linmap, problem.geom, problem.b, stop)
+    # error_curve.csv reads every iterate, whatever the rule keeps
+    result = run_method(args.method, problem.linmap, problem.geom, problem.b, stop,
+                        store_iterates=True)
     elapsed = time.perf_counter() - t0
     write_pgm(os.path.join(args.output_dir, "blurred.pgm"),
               np.clip(problem.b.reshape(side, side), 0, 1) * 255)
@@ -444,17 +434,13 @@ def cmd_deblur(args):
               np.clip(result.x.reshape(side, side), 0, 1) * 255)
     truth = problem.x_true
     tnorm = float(np.linalg.norm(truth))
-    with open(os.path.join(args.output_dir, "error_curve.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "residual", "penalty_norm", "rel_error_l2",
-                         "rel_error_weighted"])
-        wnorm = problem.geom.weighted_norm(truth)
-        for rec, x_k in zip(result.history, result.iterates):
-            rel = np.linalg.norm(x_k - truth) / tnorm
-            relw = l2rho_error(problem.geom, x_k, truth) / wnorm
-            writer.writerow([rec.k, f"{rec.residual:.17g}", f"{rec.penalty_norm:.17g}",
-                             f"{rel:.17g}", f"{relw:.17g}"])
+    wnorm = problem.geom.weighted_norm(truth)
+    _write_csv(os.path.join(args.output_dir, "error_curve.csv"),
+               ("k", "residual", "penalty_norm", "rel_error_l2", "rel_error_weighted"),
+               ([rec.k, f"{rec.residual:.17g}", f"{rec.penalty_norm:.17g}",
+                 f"{np.linalg.norm(x_k - truth) / tnorm:.17g}",
+                 f"{l2rho_error(problem.geom, x_k, truth) / wnorm:.17g}"]
+                for rec, x_k in zip(result.history, result.iterates)))
     summary = {
         "method": args.method,
         "side": side,

@@ -276,21 +276,19 @@ S_RANGE = (1.0, 5.0)  # the unknown's interval
 T_RANGE = (0.0, 5.0)  # the data's interval
 
 
-def build_fredholm_map(kernel, m, n, s_range=S_RANGE, t_range=T_RANGE):
-    """Discretize an integral operator on uniform grids into a DenseMap.
+def build_fredholm_map(kernel, m, n):
+    """Discretize a KERNELS integral operator on uniform grids into a DenseMap.
 
-    The unknown lives on the n right-endpoint nodes of s_range and the data
-    on the m right-endpoint nodes of t_range; each matrix entry is the
+    The unknown lives on the n right-endpoint nodes of S_RANGE and the data
+    on the m right-endpoint nodes of T_RANGE; each matrix entry is the
     kernel value times the s-grid spacing (left-endpoint node t=c is not
     used, so the data grid has exactly m nodes).
     """
     m, n = int(m), int(n)
     if m <= 0 or n <= 0:
         raise DimensionError(f"grid sizes must be positive, got m={m}, n={n}")
-    a, b = map(float, s_range)
-    c, d = map(float, t_range)
-    if not (b > a and d > c):
-        raise DimensionError(f"degenerate ranges s={s_range}, t={t_range}")
+    a, b = S_RANGE
+    c, d = T_RANGE
     ds = (b - a) / n
     s = a + ds * np.arange(1, n + 1)
     t = c + (d - c) / m * np.arange(1, m + 1)
@@ -338,7 +336,7 @@ def gaussian_psf(width):
 
 
 def read_pgm(path):
-    """Read an 8-bit binary graymap into a uint8 array of shape (height, width)."""
+    """Read a binary graymap of maxval 255 into a uint8 array of shape (height, width)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -375,8 +373,8 @@ def read_pgm(path):
         raise IoError(f"{path}: malformed header") from exc
     if width <= 0 or height <= 0:
         raise IoError(f"{path}: bad dimensions {width}x{height}")
-    if not 0 < maxval < 256:
-        raise IoError(f"{path}: only 8-bit graymaps supported, maxval={maxval}")
+    if maxval != 255:  # pixels are read as fractions of 255, as write_pgm writes them
+        raise IoError(f"{path}: only graymaps with maxval 255 are supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:

@@ -51,22 +51,27 @@ def make_fredholm(kernel="exp", m=500, n=100):
     return FredholmSetup(linmap=linmap, geom=geom, s=s, t=t, dt=dt, kernel=kernel)
 
 
+# every accepted spelling of a ground-truth kind, mapped to the kind it names
+TRUTH_KINDS = {"in-range": "in-range", "in": "in-range",
+               "out-of-range": "out-of-range", "out": "out-of-range"}
+
+
 def true_solution(setup, kind="in-range"):
-    """Ground truth on the unknown's grid.
+    """Ground truth on the unknown's grid; kind is a key of TRUTH_KINDS.
 
     "in-range" is the second eigenvector of the weighted spectral problem,
     which has unit L2(rho) norm by construction and is identifiable from
     noiseless data. "out-of-range" samples s^2 on the grid, which no
     explorable component reproduces exactly.
     """
-    if kind in ("in-range", "in"):
-        decomp = setup.decomposition()
-        if decomp.rank < 2:
-            raise GeometryError("operator rank below 2; no second eigenvector")
-        return decomp.V[:, 1].copy()
-    if kind in ("out-of-range", "out"):
+    if kind not in TRUTH_KINDS:
+        raise ValueError(f"unknown truth kind {kind!r}")
+    if TRUTH_KINDS[kind] == "out-of-range":
         return setup.s**2
-    raise ValueError(f"unknown truth kind {kind!r}")
+    decomp = setup.decomposition()
+    if decomp.rank < 2:
+        raise GeometryError("operator rank below 2; no second eigenvector")
+    return decomp.V[:, 1].copy()
 
 
 @dataclass

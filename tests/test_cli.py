@@ -5,6 +5,7 @@ import csv
 import json
 import os
 from dataclasses import fields
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -25,9 +26,8 @@ from idarr import (
     tikhonov_direct,
     true_solution,
     write_array,
-    write_pgm,
 )
-from idarr import UsageError, cli, problems, rkhs
+from idarr import KernelEvaluationError, UsageError, build_fredholm_map, cli, problems, rkhs
 from idarr.cli import (
     ITERATIVE_METHODS,
     ExperimentConfig,
@@ -36,6 +36,7 @@ from idarr.cli import (
     row_seed,
     write_config,
 )
+from idarr.linops import KERNELS
 
 BENCH_ARGS = [
     "fredholm-bench",
@@ -417,13 +418,28 @@ class TestDeblurCommand:
         assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:wide",
                      "--output-dir", str(tmp_path)]) == 1
 
-    def test_non_square_image_file_is_io_error(self, tmp_path, capsys):
-        write_pgm(tmp_path / "wide.pgm", np.zeros((10, 12)))
+    # a maxval-15 file's levels would be read as fractions of 255, a truth 17 times too dark
+    @pytest.mark.parametrize("pgm", [
+        b"P5\n12 10\n255\n" + bytes(120), b"P5\n16 16\n15\n" + bytes(range(16)) * 16,
+    ], ids=["non-square", "maxval-15"])
+    def test_malformed_image_file_is_io_error(self, tmp_path, capsys, pgm):
+        (tmp_path / "img.pgm").write_bytes(pgm)
         out = tmp_path / "out"
-        assert main(["deblur", "--image", str(tmp_path / "wide.pgm"),
+        assert main(["deblur", "--image", str(tmp_path / "img.pgm"),
                      "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("io error:")
         assert not out.exists()
+
+    def test_error_curve_has_a_row_per_step_whatever_the_rule_keeps(self, tmp_path,
+                                                                     monkeypatch):
+        class KeepsNoIterates(LCurve):
+            needs_iterates = False
+
+        monkeypatch.setattr(cli, "LCurve", KeepsNoIterates)
+        out = tmp_path / "deblur"
+        assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:1",
+                     "--max-iters", "12", "--output-dir", str(out)]) == 0
+        assert [int(row["k"]) for row in read_csv(out / "error_curve.csv")] == list(range(1, 13))
 
     def test_vanishing_gaussian_width_restores_through_a_delta(self, tmp_path):
         out = tmp_path / "deblur"
@@ -667,6 +683,84 @@ def test_bad_bench_flag_message_names_flag_and_value(flag, value, capsys):
     assert main(["fredholm-bench", flag, value]) == 1
     err = capsys.readouterr().err
     assert flag in err and repr(value) in err and "<lambda>" not in err
+
+
+def _stop_bound_verdicts(key, value, tmp_path):
+    """Whether each command that reads stop bound key (tau or max_iters) accepts value."""
+    a = np.random.default_rng(5).standard_normal((20, 8))
+    desc = save_operator(DenseMap(a), str(tmp_path))
+    write_array(str(tmp_path / "b.bin"), a @ np.ones(8))
+    (tmp_path / "exp.cfg").write_text(f"[experiment]\n{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    bench = ["fredholm-bench", "--m", "30", "--n", "10", "--nsr-ladder", "0.5", "--trials", "1",
+             "--methods", "iDARR"]
+    argvs = {
+        "bench-flag": bench + [flag, value],
+        "bench-config": bench + ["--config", str(tmp_path / "exp.cfg")],
+        "solve": ["solve", "--operator", desc, "--data", str(tmp_path / "b.bin")]
+                 + (["--stop", f"dp:0.01:{value}"] if key == "tau" else [flag, value]),
+    }
+    if key == "max_iters":
+        argvs["deblur"] = ["deblur", "--image", "blobs:16", "--psf", "gaussian:1", flag, value]
+    codes = {}
+    for name, argv in argvs.items():
+        out = str(tmp_path / name)
+        codes[name] = main(argv + (["--out", out] if name == "solve" else ["--output-dir", out]))
+    assert set(codes.values()) <= {0, 1}, codes
+    return {name: code == 0 for name, code in codes.items()}
+
+
+def _truth_verdicts(spelling, tmp_path):
+    """Whether fredholm-bench and true_solution accept a truth spelling."""
+    try:
+        true_solution(make_fredholm("exp", 30, 10), spelling)
+        owner = True
+    except ValueError:
+        owner = False
+    code = main(["fredholm-bench", "--m", "30", "--n", "10", "--nsr-ladder", "0.5",
+                 "--trials", "1", "--methods", "DARTR", "--truth", spelling,
+                 "--output-dir", str(tmp_path / "out")])
+    assert code in (0, 1)
+    return {"true_solution": owner, "fredholm-bench": code == 0}
+
+
+def _kernel_verdicts(name, tmp_path):
+    """Whether fredholm-bench and build_fredholm_map (which reads KERNELS) accept a kernel."""
+    try:
+        build_fredholm_map(name, 30, 10)
+        owner = True
+    except KernelEvaluationError:
+        owner = False
+    code = main(["fredholm-bench", "--m", "30", "--n", "10", "--nsr-ladder", "0.5",
+                 "--trials", "1", "--methods", "DARTR", "--kernel", name,
+                 "--output-dir", str(tmp_path / "out")])
+    assert code in (0, 1)
+    return {"KERNELS": owner, "fredholm-bench": code == 0}
+
+
+RULE_VERDICTS = {
+    "tau": partial(_stop_bound_verdicts, "tau"),
+    "max_iters": partial(_stop_bound_verdicts, "max_iters"),
+    "truth": _truth_verdicts,
+    "kernel": _kernel_verdicts,
+}
+
+
+@pytest.mark.parametrize("rule, value, accepted", [
+    ("tau", "1.0", False), ("tau", "1.01", True), ("tau", "inf", False), ("tau", "nan", False),
+    ("max_iters", "9", False), ("max_iters", "10", True),
+    *[("truth", v, True) for v in ("in", "in-range", "out", "out-of-range")],
+    ("truth", "In", False), ("truth", "inside", False),
+    *[("kernel", v, True) for v in KERNELS], ("kernel", "exp-shifted", True),
+    ("kernel", "cubic", False), ("kernel", "Exp", False),
+])
+def test_each_rule_has_one_owner(rule, value, accepted, tmp_path, monkeypatch):
+    # every command that reads the rule gives its owner's verdict; a kernel
+    # added to the table is one the bench runs
+    monkeypatch.delenv("IDARR_THREADS", raising=False)
+    monkeypatch.setitem(KERNELS, "exp-shifted", lambda t, s: np.exp(-np.multiply.outer(t, s + 1)))
+    got = RULE_VERDICTS[rule](value, tmp_path)
+    assert got == dict.fromkeys(got, accepted)
 
 
 class TestRowSeeds:

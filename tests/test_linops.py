@@ -11,6 +11,7 @@ from idarr.arrayio import read_array, write_array
 from idarr.errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 from idarr.linops import (
     BLOCK,
+    KERNELS,
     DenseMap,
     DiagonalMap,
     PsfConvolutionMap,
@@ -367,20 +368,20 @@ class TestKernels:
 
 class TestFredholmAssembly:
     def test_grid_layout(self):
-        lm, s, t = build_fredholm_map("exp", 10, 4, (1.0, 5.0), (0.0, 5.0))
+        lm, s, t = build_fredholm_map("exp", 10, 4)
         np.testing.assert_allclose(s, 1.0 + np.arange(1, 5) * 1.0)
         np.testing.assert_allclose(t, np.arange(1, 11) * 0.5)
         assert lm.shape == (10, 4)
 
     def test_entries_are_kernel_times_spacing(self):
-        lm, s, t = build_fredholm_map("exp", 10, 4, (1.0, 5.0), (0.0, 5.0))
+        lm, s, t = build_fredholm_map("exp", 10, 4)
         dense = lm.as_dense()
         ds = (5.0 - 1.0) / 4
         for j, i in ((0, 0), (3, 2), (9, 3)):
             assert dense[j, i] == pytest.approx(exp_decay_kernel(t[j], s[i]) * ds, rel=1e-15)
 
     def test_poly_entries(self):
-        lm, s, t = build_fredholm_map("poly", 6, 3, (1.0, 5.0), (0.0, 5.0))
+        lm, s, t = build_fredholm_map("poly", 6, 3)
         dense = lm.as_dense()
         ds = 4.0 / 3
         assert dense[2, 1] == pytest.approx(poly_decay_kernel(t[2], s[1]) * ds, rel=1e-15)
@@ -389,9 +390,10 @@ class TestFredholmAssembly:
         with pytest.raises(KernelEvaluationError):
             build_fredholm_map("cubic", 10, 4)
 
-    def test_nonfinite_kernel_values_rejected(self):
-        with pytest.raises(KernelEvaluationError):
-            build_fredholm_map("exp", 10, 4, s_range=(-2000.0, -1000.0), t_range=(0.0, 5.0))
+    def test_nonfinite_kernel_values_rejected(self, monkeypatch):
+        monkeypatch.setitem(KERNELS, "overflow", lambda t, s: np.exp(1e3 * np.multiply.outer(t, s)))
+        with pytest.raises(KernelEvaluationError, match="not finite"):
+            build_fredholm_map("overflow", 10, 4)
 
     def test_exp_spectrum_decays_fast(self, exp_setup):
         sv = np.linalg.svd(exp_setup.linmap.as_dense(), compute_uv=False)
@@ -419,9 +421,13 @@ class TestImageIo:
         write_pgm(path, img)
         np.testing.assert_array_equal(read_pgm(path), img)
 
-    def test_pgm_malformed_raises(self, tmp_path):
+    # a maxval other than 255 is malformed: levels are read as fractions of
+    # 255, the one maxval write_pgm writes
+    @pytest.mark.parametrize("data", [b"P3\n2 2\n255\n", b"P5\n2 2\n15\n\0\5\17\310"],
+                             ids=["ascii-magic", "maxval-15"])
+    def test_pgm_malformed_raises(self, tmp_path, data):
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P3\n2 2\n255\n")
+        path.write_bytes(data)
         with pytest.raises(IoError):
             read_pgm(path)
 

@@ -84,7 +84,8 @@ def subspace_lstsq_oracle(geom, b, k):
     """Dense reference for the k-th iterate: least squares in the explicit
     generated basis against the coupling matrix."""
     factors = run_bidiag(geom, b, k)
-    bk = factors.bidiagonal_matrix(k)
+    # B_k: alpha_i on the diagonal, beta_{i+1} below it
+    bk = np.eye(k + 1, k) * factors.alphas[:k] + np.eye(k + 1, k, -1) * factors.betas[1:k + 1]
     rhs = np.zeros(k + 1)
     rhs[0] = factors.betas[0]
     y, *_ = np.linalg.lstsq(bk, rhs, rcond=None)
