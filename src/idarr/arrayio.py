@@ -20,7 +20,7 @@ def write_array(path, arr):
     header = _MAGIC + b" " + " ".join(str(d) for d in a.shape).encode("ascii") + b"\n"
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(a.tobytes())
+        fh.write(a.data)  # the array's own buffer, not a bytes copy of it
 
 
 def _header_shape(path, header):

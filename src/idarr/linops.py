@@ -99,10 +99,22 @@ class DenseMap(LinearMap):
         return self.entries.T @ w
 
     def column_abs_sums(self):
-        return np.abs(self.entries).sum(axis=0)
+        # bitwise np.abs(entries).sum(axis=0): NumPy sums contiguous columns pairwise, else by rows
+        a, k = self.entries, 64  # lines per block; of 16 to 256, 32 and 64 were fastest
+        if a.shape[1] == 1 or abs(a.strides[0]) < abs(a.strides[1]):
+            return np.hstack([np.abs(a[:, j:j + k]).sum(axis=0) for j in range(0, a.shape[1], k)])
+        carry = np.zeros(a.shape[1])
+        for i in range(0, a.shape[0], k):
+            block = np.abs(a[i:i + k])
+            block[0] += carry
+            carry = block.sum(axis=0)
+        return carry
 
     def as_dense(self):
-        return self.entries.copy()
+        """A read-only view of entries: the operator is shared, not copied."""
+        view = self.entries.view()
+        view.flags.writeable = False
+        return view
 
 
 class DiagonalMap(LinearMap):
@@ -305,7 +317,8 @@ def build_fredholm_map(kernel, m, n):
         raise KernelEvaluationError(
             f"kernel value at t={t[bad[0]]:g}, s={s[bad[1]]:g} is not finite"
         )
-    return DenseMap(values * ds), s, t
+    values *= ds  # in place: one m x n array fewer
+    return DenseMap(values), s, t
 
 
 def gaussian_radius(width):

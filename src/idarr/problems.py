@@ -39,8 +39,7 @@ class FredholmSetup:
 
     def decomposition(self):
         if self._decomp is None:
-            a = self.linmap.entries
-            self._decomp = generalized_eig(a.T @ a, self.geom.rho)
+            self._decomp = generalized_eig(self.linmap.entries, self.geom.rho)
         return self._decomp
 
 
@@ -256,7 +255,8 @@ def load_operator(desc_path):
     """The operator that a save_operator descriptor describes.
 
     An unreadable descriptor or payload, a missing or bad field, and a
-    payload of the wrong shape for its kind (a too wide psf) raise IoError.
+    payload of the wrong shape for its kind (a too wide psf) or with a NaN or
+    infinite entry raise IoError.
     """
     try:
         with open(desc_path, "r", encoding="utf-8") as fh:
@@ -270,15 +270,18 @@ def load_operator(desc_path):
     base = os.path.dirname(os.path.abspath(desc_path))
     kind = desc.get("kind")
     try:
+        if kind in ("dense", "diagonal"):
+            values = read_array(os.path.join(base, desc["entries" if kind == "dense" else "diag"]))
+            if not np.isfinite(values).all():
+                raise IoError(f"{desc_path}: {kind} payload has a NaN or infinite entry")
         if kind == "dense":
-            entries = read_array(os.path.join(base, desc["entries"]))
             shape = (desc["rows"], desc["cols"])
-            if any(type(v) is not int for v in shape) or shape != entries.shape:
+            if any(type(v) is not int for v in shape) or shape != values.shape:
                 raise IoError(f"{desc_path}: descriptor says {shape[0]!r} x {shape[1]!r}, "
-                              f"its entries have shape {entries.shape}")
-            return DenseMap(entries)
+                              f"its entries have shape {values.shape}")
+            return DenseMap(values)
         if kind == "diagonal":
-            return DiagonalMap(read_array(os.path.join(base, desc["diag"])))
+            return DiagonalMap(values)
         if kind == "psf":
             psf, side = read_psf_text(os.path.join(base, desc["psf"])), desc["side"]
             if type(side) is not int:

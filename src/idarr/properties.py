@@ -80,7 +80,7 @@ def restricted_solution(geom, b):
     """Dense oracle: minimizer of ||Ax-b|| over the range of the adaptive
     quadratic form, via the factor whose outer product gives its pseudoinverse."""
     a = geom.linmap.as_dense()
-    decomp = generalized_eig(a.T @ a, geom.rho)
+    decomp = generalized_eig(a, geom.rho)
     factor = decomp.V[:, : decomp.rank] * np.sqrt(decomp.lambdas[: decomp.rank])
     coeffs, *_ = np.linalg.lstsq(a @ factor, b, rcond=None)
     return factor @ coeffs

@@ -83,29 +83,34 @@ class SpectralDecomposition:
     rank: int
 
 
-def generalized_eig(gram, rho):
-    """Solve the weighted eigenproblem by symmetric reduction.
+def generalized_eig(a, rho):
+    """Solve the weighted eigenproblem of the operator matrix a by symmetric reduction.
 
-    gram is the n x n normal matrix A^T A. With D = diag(sqrt(rho)), the
-    symmetric matrix D^-1 (A^T A) D^-1 is diagonalized and eigenvectors are
-    mapped back by D^-1, which enforces the B-orthonormality exactly.
-    Eigenvalues are clamped at zero and the rank counts those above
-    lambda_max * n * eps.
+    With D = diag(sqrt(rho)), D^-1 (A^T A) D^-1 is formed and symmetrized in
+    place, so one n x n matrix lives beside a (never written) and eigh's
+    buffers. It is diagonalized and eigenvectors are mapped back by D^-1,
+    which enforces the B-orthonormality exactly. Eigenvalues are clamped at
+    zero and the rank counts those above lambda_max * n * eps.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
         raise GeometryError("weights must be strictly positive and finite")
-    gram = np.asarray(gram, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     n = rho.size
-    if rho.ndim != 1 or gram.shape != (n, n):
-        raise DimensionError(f"{gram.shape} normal matrix does not match {rho.shape} weights")
+    if rho.ndim != 1 or a.ndim != 2 or a.shape[1] != n:
+        raise DimensionError(f"{a.shape} operator does not match {rho.shape} weights")
     d = np.sqrt(rho)
-    sym = gram / d[:, None] / d[None, :]
-    sym = 0.5 * (sym + sym.T)
-    mu, q = np.linalg.eigh(sym)
+    g = a.T @ a
+    g /= d[:, None]
+    g /= d[None, :]
+    g += g.T
+    g *= 0.5
+    mu, q = np.linalg.eigh(g)
+    del g
     order = np.argsort(mu)[::-1]
     mu = np.maximum(mu[order], 0.0)
-    v = q[:, order] / d[:, None]
+    v = q[:, order]
+    v /= d[:, None]
     lam_max = mu[0] if mu.size else 0.0
     rank = int(np.count_nonzero(mu > lam_max * n * np.finfo(float).eps))
     return SpectralDecomposition(V=v, lambdas=mu, rank=rank)
@@ -145,11 +150,11 @@ def _lambda_grid(lam_max, lam_min):
 class DirectFactorization:
     """One operator factored under one weight vector, for any number of ladder solves.
 
-    Holds the dense operator a, its generalized_eig under the weights, the
-    change of variables x = T y that makes the method's penalty the plain
-    squared norm and the problem diagonal, (A T)^T (A T) = diag(s2), and the
-    strength ladder. build() factors once per penalty norm; solve(b) costs
-    products with A and T only.
+    Holds the dense operator a (shared with a DenseMap's entries), its
+    generalized_eig under the weights, the change of variables x = T y that
+    makes the method's penalty the plain squared norm and the problem
+    diagonal, (A T)^T (A T) = diag(s2), and the strength ladder. build()
+    factors once per penalty norm; solve(b) costs products with A and T only.
     """
 
     a: np.ndarray
@@ -178,7 +183,7 @@ class DirectFactorization:
         a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
         if decomp is None:
             weights = np.ones(a.shape[1]) if norm == "l2" or rho is None else rho
-            decomp = generalized_eig(a.T @ a, weights)
+            decomp = generalized_eig(a, weights)
         if decomp.rank == 0:
             raise TrivialDataError("operator has numerical rank zero")
         lam = decomp.lambdas

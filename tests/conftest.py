@@ -1,6 +1,7 @@
 """Shared fixtures; thread pinning must happen before numpy loads."""
 
 import os
+import tracemalloc
 
 for _var in (
     "OMP_NUM_THREADS",
@@ -56,3 +57,19 @@ def poly_setup():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260822)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def traced_peak():
+    """traced_peak(call): peak bytes NumPy and Python allocate during call(), above what was live."""
+    return _traced_peak

@@ -316,7 +316,7 @@ class TestClassicalReduction:
         a = rng.standard_normal((20, 12))
         geom = RkhsGeometry(DenseMap(a), rng.uniform(0.5, 2.0, 12))
         b = rng.standard_normal(20)
-        decomp = generalized_eig(a.T @ a, geom.rho)
+        decomp = generalized_eig(a, geom.rho)
         r = decomp.rank
         assert r == 12
         cfac = decomp.V[:, :r] * np.sqrt(decomp.lambdas[:r])[None, :]

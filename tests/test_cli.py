@@ -13,6 +13,7 @@ import pytest
 
 from idarr import (
     DenseMap,
+    DiagonalMap,
     LCurve,
     add_noise,
     clean_problem,
@@ -138,6 +139,23 @@ class TestSolveCommand:
         b = b[:-1] if bad == "short" else np.where(np.arange(b.size) == 3, float(bad), b)
         data = tmp_path / "bad.bin"
         write_array(str(data), b)
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", str(data),
+                     "--method", method, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["iDARR", "IR-l2", "l2-direct", "DARTR"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    def test_non_finite_operator_payload_is_io_error(self, tmp_path, rng, kind, bad, method):
+        payload = rng.uniform(1.0, 2.0, (8, 6) if kind == "dense" else 6)
+        desc = save_operator(DenseMap(payload) if kind == "dense" else DiagonalMap(payload),
+                             str(tmp_path))
+        payload.flat[3] = float(bad)
+        write_array(str(tmp_path / f"operator_{'entries' if kind == 'dense' else 'diag'}.bin"),
+                    payload)
+        data = tmp_path / "b.bin"
+        write_array(str(data), np.ones(payload.shape[0]))
         out = tmp_path / "x.bin"
         assert main(["solve", "--operator", desc, "--data", str(data),
                      "--method", method, "--out", str(out)]) == 2

@@ -52,6 +52,29 @@ class TestDenseMap:
         entries = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(DenseMap(entries).as_dense(), entries)
 
+    def test_as_dense_is_a_read_only_view(self):
+        entries = np.arange(6.0).reshape(3, 2)
+        dense = DenseMap(entries).as_dense()
+        assert np.shares_memory(dense, entries)
+        assert not dense.flags.writeable and entries.flags.writeable
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(2000, 1000), (130, 65), (65, 130), (300, 1), (1, 300)])
+    @pytest.mark.parametrize("layout", ["C", "F", "rows-reversed", "strided"])
+    def test_column_abs_sums_bitwise_equal_to_whole_reduction(self, rng, shape, layout):
+        # NumPy sums rows in order for C-like layouts and each column
+        # pairwise for F-like ones and single columns; the blocks must follow
+        a = rng.standard_normal(shape) * rng.uniform(0.0, 1e3, shape)
+        a = {"C": a, "F": np.asfortranarray(a), "rows-reversed": a[::-1],
+             "strided": a[:, ::2]}[layout]
+        np.testing.assert_array_equal(DenseMap(a).column_abs_sums(), np.abs(a).sum(axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_abs_sums_never_builds_abs_whole(self, rng, traced_peak, order):
+        m = DenseMap(np.asarray(rng.standard_normal((2000, 1000)), order=order))
+        assert traced_peak(m.column_abs_sums) < m.entries.nbytes / 4
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 2**31 - 1))
@@ -386,6 +409,11 @@ class TestFredholmAssembly:
         ds = 4.0 / 3
         assert dense[2, 1] == pytest.approx(poly_decay_kernel(t[2], s[1]) * ds, rel=1e-15)
 
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_entries_bitwise_equal_to_scaled_kernel(self, kernel):
+        lm, s, t = build_fredholm_map(kernel, 50, 20)
+        np.testing.assert_array_equal(lm.entries, KERNELS[kernel](t, s) * ((5.0 - 1.0) / 20))
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KernelEvaluationError):
             build_fredholm_map("cubic", 10, 4)
@@ -450,6 +478,16 @@ class TestArrayIo:
         path = tmp_path / "a.bin"
         write_array(path, a)
         np.testing.assert_array_equal(read_array(path), a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_adds_no_copy_of_a_contiguous_array(self, tmp_path, rng, traced_peak, order):
+        # the file is the header and the row-major bytes; a C-ordered array
+        # is written from its own buffer, with no bytes copy of it
+        a = np.asarray(rng.standard_normal((400, 300)), order=order)
+        path = tmp_path / "a.bin"
+        peak = traced_peak(lambda: write_array(path, a))
+        assert path.read_bytes() == b"f64le 400 300\n" + np.ascontiguousarray(a).tobytes()
+        assert peak < (a.nbytes / 4 if order == "C" else 1.25 * a.nbytes)
 
     def test_malformed_header_raises(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -39,6 +39,19 @@ TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])  # normalized column sums of diag(2,1)
 
 
+def reference_generalized_eig(gram, rho):
+    """(V, lambdas, rank) of the symmetric reduction, from a Gram built by the caller."""
+    d = np.sqrt(rho)
+    sym = gram / d[:, None] / d[None, :]
+    sym = 0.5 * (sym + sym.T)
+    mu, q = np.linalg.eigh(sym)
+    order = np.argsort(mu)[::-1]
+    mu = np.maximum(mu[order], 0.0)
+    v = q[:, order] / d[:, None]
+    rank = int(np.count_nonzero(mu > mu[0] * rho.size * np.finfo(float).eps))
+    return v, mu, rank
+
+
 class TestExplorationWeights:
     def test_small_matrix_frozen_values(self):
         w = compute_exploration_weights(DenseMap(np.array([[1.0, -2.0], [3.0, 4.0]])))
@@ -115,7 +128,7 @@ class TestGeneralizedEig:
     def test_toy_eigenvalues_and_vectors(self):
         # diag(4,1) against diag(2/3,1/3): eigenvalues 6 and 3, vectors axis-
         # aligned with B-normalization sqrt(3/2) and sqrt(3)
-        decomp = generalized_eig(TOY_A.T @ TOY_A, TOY_RHO)
+        decomp = generalized_eig(TOY_A, TOY_RHO)
         np.testing.assert_allclose(decomp.lambdas, [6.0, 3.0], atol=1e-12)
         assert decomp.rank == 2
         np.testing.assert_allclose(
@@ -126,7 +139,7 @@ class TestGeneralizedEig:
         a = rng.standard_normal((30, 18))
         rho = rng.uniform(0.1, 2.0, 18)
         gram = a.T @ a
-        decomp = generalized_eig(gram, rho)
+        decomp = generalized_eig(a, rho)
         bmat = np.diag(rho)
         lhs = gram @ decomp.V
         rhs = bmat @ decomp.V @ np.diag(decomp.lambdas)
@@ -136,7 +149,7 @@ class TestGeneralizedEig:
 
     def test_eigenvalues_descending_and_nonnegative(self, rng):
         a = rng.standard_normal((20, 12))
-        decomp = generalized_eig(a.T @ a, rng.uniform(0.1, 2.0, 12))
+        decomp = generalized_eig(a, rng.uniform(0.1, 2.0, 12))
         assert np.all(np.diff(decomp.lambdas) <= 0)
         assert np.all(decomp.lambdas >= 0)
 
@@ -146,29 +159,71 @@ class TestGeneralizedEig:
         v, _ = np.linalg.qr(rng.standard_normal((12, 7)))
         a = u @ np.diag(np.geomspace(1.0, 1e-2, 7)) @ v.T
         rho = rng.uniform(0.5, 1.5, 12)
-        decomp = generalized_eig(a.T @ a, rho)
+        decomp = generalized_eig(a, rho)
         assert decomp.rank == np.linalg.matrix_rank(a)
         assert decomp.rank == 7
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(GeometryError):
-            generalized_eig(TOY_A.T @ TOY_A, np.array([1.0, -1.0]))
+            generalized_eig(TOY_A, np.array([1.0, -1.0]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             generalized_eig(np.eye(3), np.ones(2))
+        with pytest.raises(DimensionError):
+            generalized_eig(np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(30, 18), (18, 30), (40, 1), (1, 6), (200, 80), (80, 200)])
+    def test_bitwise_equal_to_gram_reference(self, rng, shape):
+        # (18, 30), (1, 6) and (80, 200) have n > m: rank-deficient Grams
+        a = rng.standard_normal(shape) * rng.uniform(0.01, 10.0, shape[1])
+        rho = rng.uniform(0.1, 2.0, shape[1])
+        decomp = generalized_eig(a, rho)
+        v, mu, rank = reference_generalized_eig(a.T @ a, rho)
+        assert decomp.V.strides == v.strides
+        np.testing.assert_array_equal(decomp.V, v)
+        np.testing.assert_array_equal(decomp.lambdas, mu)
+        assert decomp.rank == rank == min(shape)
+
+    def test_bitwise_equal_on_fredholm_operator(self, exp_setup):
+        a, rho = exp_setup.linmap.entries, exp_setup.geom.rho
+        v, mu, rank = reference_generalized_eig(a.T @ a, rho)
+        decomp = generalized_eig(a, rho)
+        np.testing.assert_array_equal(decomp.V, v)
+        np.testing.assert_array_equal(decomp.lambdas, mu)
+        assert decomp.rank == rank
+
+    def test_operator_left_as_given_and_read_only_accepted(self, rng):
+        a = rng.standard_normal((25, 10))
+        rho = rng.uniform(0.5, 1.5, 10)
+        before = a.copy()
+        decomp = generalized_eig(a, rho)
+        np.testing.assert_array_equal(a, before)
+        a.flags.writeable = False
+        np.testing.assert_array_equal(generalized_eig(a, rho).V, decomp.V)
+
+    def test_traced_peak_is_one_gram_and_the_eigenvectors(self, rng, traced_peak):
+        # the Gram and eigh's eigenvectors (eigh's own malloc'd copy and
+        # workspace are not traced); the out-of-place reference, with the
+        # caller's Gram, holds at least 4 n^2 doubles
+        n = 400
+        a = rng.standard_normal((500, n))
+        rho = rng.uniform(0.5, 1.5, n)
+        peak = traced_peak(lambda: generalized_eig(a, rho))
+        assert peak < 2.5 * n * n * 8
+        assert traced_peak(lambda: reference_generalized_eig(a.T @ a, rho)) >= 4 * n * n * 8
 
 
 class TestRkhsNormSq:
     def test_toy_frozen_value(self):
-        decomp = generalized_eig(TOY_A.T @ TOY_A, TOY_RHO)
+        decomp = generalized_eig(TOY_A, TOY_RHO)
         assert rkhs_norm_sq(decomp, TOY_RHO, np.array([1.0, 0.0])) == pytest.approx(
             1.0 / 9.0, rel=1e-12
         )
 
     def test_unit_weight_frozen_value(self):
         rho = np.ones(2)
-        decomp = generalized_eig(TOY_A.T @ TOY_A, rho)
+        decomp = generalized_eig(TOY_A, rho)
         assert rkhs_norm_sq(decomp, rho, np.array([1.0, 0.0])) == pytest.approx(
             0.25, rel=1e-12
         )
@@ -176,7 +231,7 @@ class TestRkhsNormSq:
     def test_full_rank_dense_oracle(self, rng):
         a = rng.standard_normal((15, 10))
         rho = rng.uniform(0.2, 2.0, 10)
-        decomp = generalized_eig(a.T @ a, rho)
+        decomp = generalized_eig(a, rho)
         x = rng.standard_normal(10)
         bmat = np.diag(rho)
         oracle = x @ (bmat @ np.linalg.inv(a.T @ a) @ bmat) @ x
@@ -187,7 +242,7 @@ class TestRkhsNormSq:
         v, _ = np.linalg.qr(rng.standard_normal((9, 5)))
         a = u @ np.diag(np.linspace(2.0, 1.0, 5)) @ v.T
         rho = rng.uniform(0.5, 1.5, 9)
-        decomp = generalized_eig(a.T @ a, rho)
+        decomp = generalized_eig(a, rho)
         r = decomp.rank
         assert r == 5
         x = rng.standard_normal(9)
@@ -200,12 +255,20 @@ class TestRkhsNormSq:
     @settings(max_examples=50, deadline=None)
     @given(c=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
     def test_scales_quadratically(self, c):
-        decomp = generalized_eig(TOY_A.T @ TOY_A, TOY_RHO)
+        decomp = generalized_eig(TOY_A, TOY_RHO)
         x = np.array([0.7, -1.3])
         base = rkhs_norm_sq(decomp, TOY_RHO, x)
         assert rkhs_norm_sq(decomp, TOY_RHO, c * x) == pytest.approx(
             c * c * base, rel=1e-9, abs=1e-12
         )
+
+
+class TestDirectFactorization:
+    def test_build_shares_the_dense_operator(self, rng):
+        linmap = DenseMap(rng.standard_normal((20, 8)))
+        fac = DirectFactorization.build(linmap, "rkhs", compute_exploration_weights(linmap))
+        assert np.shares_memory(fac.a, linmap.entries)
+        assert not fac.a.flags.writeable
 
 
 class TestDartrSolve:

@@ -126,7 +126,7 @@ class TestUpdateRecursion:
         rho = rng.uniform(0.5, 1.5, 8)
         geom = RkhsGeometry(DenseMap(a), rho)
         b = rng.standard_normal(15)
-        decomp = generalized_eig(a.T @ a, rho)
+        decomp = generalized_eig(a, rho)
         result = idarr_solve(geom, b, FixedIters(6), store_iterates=True)
         for rec, x in zip(result.history, result.iterates):
             spectral = np.sqrt(rkhs_norm_sq(decomp, rho, x))
