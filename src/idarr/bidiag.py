@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, StateError, TrivialDataError
+from .errors import DimensionError, NumericalBreakdownError, StateError, TrivialDataError
 
 _EPS = np.finfo(float).eps
 
@@ -93,8 +93,8 @@ class BidiagProcess:
     linmap : LinearMap
         The forward operator.
     b : array
-        Data vector; must be nonzero and finite. A non-finite data norm or
-        coupling raises NumericalBreakdownError.
+        Data vector; must be 1-d (else DimensionError), nonzero and finite.
+        A non-finite data norm or coupling raises NumericalBreakdownError.
     pinv_apply : callable or None
         Action of K^+ on a vector, returned as a new array (the process
         may update it in place); None means the identity metric.
@@ -107,6 +107,8 @@ class BidiagProcess:
 
     def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=False):
         b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 1:  # the operator would take an (m, k) b as a block
+            raise DimensionError(f"data must be a vector, got shape {b.shape}")
         self.linmap = linmap
         self.pinv_apply = pinv_apply if pinv_apply is not None else np.copy
         self.reorthogonalize = bool(reorthogonalize)

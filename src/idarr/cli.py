@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import product
@@ -23,6 +22,7 @@ from .arrayio import read_array, write_array
 from .bidiag import run_bidiag
 from .errors import (
     DimensionError,
+    GeometryError,
     IdarrError,
     IoError,
     NumericalBreakdownError,
@@ -308,6 +308,10 @@ def cmd_fredholm_bench(args):
         if getattr(args, f.name) is not None:
             setattr(cfg, f.name, getattr(args, f.name))
     _validate_config(cfg)
+    try:  # cached for the rows; an operator with no in-range truth makes no directory
+        _get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth)
+    except GeometryError as exc:
+        raise UsageError(f"truth {cfg.truth!r} on a {cfg.m}x{cfg.n} operator: {exc}") from None
 
     cells = list(product(cfg.methods, cfg.nsr_ladder, range(1, cfg.trials + 1)))
     run_cell = partial(run_bench_row, cfg)
@@ -316,6 +320,7 @@ def cmd_fredholm_bench(args):
     sol_dir = os.path.join(cfg.output_dir, "solutions")
     os.makedirs(sol_dir, exist_ok=True)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, *zip(*cells), chunksize=4))
     else:

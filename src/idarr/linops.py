@@ -1,6 +1,6 @@
 """Matrix-free linear operators and their file formats.
 
-A LinearMap exposes a forward action and its adjoint on flat float vectors.
+A LinearMap exposes a forward action and its adjoint on vectors and blocks.
 Concrete maps cover dense matrices, diagonal scalings, integral-equation
 discretizations, and spatially invariant image blur. All solvers in this
 package touch operators only through apply/apply_adjoint, so any map is
@@ -18,8 +18,8 @@ from .errors import DimensionError, GeometryError, IoError, KernelEvaluationErro
 class LinearMap(ABC):
     """Linear operator from R^cols to R^rows with an explicit adjoint.
 
-    Subclasses implement ``_apply`` and ``_apply_adjoint``; the public
-    wrappers validate operand shapes and always return float64 arrays.
+    Subclasses implement ``_apply`` and ``_apply_adjoint`` for a vector ``(n,)``
+    and a block ``(n, k)`` alike; the wrappers check shapes and return float64.
     """
 
     def __init__(self, rows, cols):
@@ -49,33 +49,27 @@ class LinearMap(ABC):
     def _apply_adjoint(self, w):
         ...
 
+    def _column_blocks(self):
+        """(j, columns j.. of the matrix) per product with a 64-column slice of the identity."""
+        for j in range(0, self.cols, 64):
+            yield j, self.apply(np.eye(self.cols, min(64, self.cols - j), -j))
+
     def column_abs_sums(self):
-        """Per-column sums of absolute entries, computed via canonical basis vectors."""
-        out = np.empty(self.cols)
-        e = np.zeros(self.cols)
-        for i in range(self.cols):
-            e[i] = 1.0
-            out[i] = np.abs(self.apply(e)).sum()
-            e[i] = 0.0
-        return out
+        """Per-column sums of absolute entries, 64 columns per product."""
+        return np.concatenate([np.abs(block).sum(axis=0) for _, block in self._column_blocks()])
 
     def as_dense(self):
-        """Materialize the operator matrix column by column."""
-        cols = np.empty((self.rows, self.cols))
-        e = np.zeros(self.cols)
-        for i in range(self.cols):
-            e[i] = 1.0
-            cols[:, i] = self.apply(e)
-            e[i] = 0.0
-        return cols
+        """Materialize the operator matrix, 64 columns per product."""
+        out = np.empty(self.shape)
+        for j, block in self._column_blocks():
+            out[:, j:j + block.shape[1]] = block
+        return out
 
     def _check_vec(self, v, n, what):
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != n:
-            raise DimensionError(
-                f"{type(self).__name__}.{what} expects a vector of length {n}, "
-                f"got shape {v.shape}"
-            )
+        if v.ndim not in (1, 2) or v.shape[0] != n:
+            raise DimensionError(f"{type(self).__name__}.{what} expects shape ({n},) or "
+                                 f"({n}, k), got {v.shape}")
         return v
 
     def __repr__(self):
@@ -128,10 +122,9 @@ class DiagonalMap(LinearMap):
         self.diag = diag
 
     def _apply(self, v):
-        return self.diag * v
+        return (v.T * self.diag).T  # scales the rows of a block
 
-    def _apply_adjoint(self, w):
-        return self.diag * w
+    _apply_adjoint = _apply  # a diagonal is its own transpose
 
     def column_abs_sums(self):
         return np.abs(self.diag)
@@ -156,9 +149,10 @@ class PsfConvolutionMap(LinearMap):
     the column pass, in both directions. A pass zero-pads its axis, so
     every ``BLOCK`` output lines see one Toeplitz block of the taps applied
     to ``BLOCK + k - 1`` input lines; the map keeps one such block per
-    term, pass and direction. The first term's output is the accumulator
-    and the later terms are added to it in place, in order, so at most two
-    frames are live for one term and three for more.
+    term, pass and direction. A block of vectors runs the same passes,
+    each line holding that line of every column. The first term's output
+    is the accumulator and the later terms are added to it in place, in
+    order, so at most two frames are live for one term and three for more.
 
     Each term's entry of the realized matrix is one rounded product of its
     column and row weights, and the terms are summed in the same order in
@@ -200,28 +194,25 @@ class PsfConvolutionMap(LinearMap):
 
     def _product(self, v, flip):
         n = self.side
-        # Each pass runs on the transpose of its input, so the row pass
-        # comes first and the column pass leaves a C-ordered frame. The
-        # previous output and the padded buffer are dropped before the
-        # next allocation, so a pass holds at most two frames besides the
-        # accumulator.
+        k = v.size // self.rows  # columns of a block; a vector is one
+        lines = -(-n // BLOCK) * BLOCK
+        # Each pass runs on its input with the first two axes swapped, so the
+        # row pass comes first and the column pass leaves a C-ordered frame.
+        # A pass frees its input and buffer before the next allocation.
         total = None
         for passes in self._passes[flip]:
-            img = v.reshape(n, n)
+            img = v.reshape(n, n, k)
             for block, lead in passes:
                 width = block.shape[1]
-                padded = np.zeros((-(-n // BLOCK) * BLOCK + width - BLOCK, n))
-                padded[lead:lead + n] = img.T
+                padded = np.zeros((lines + width - BLOCK, n, k))
+                padded[lead:lead + n] = img.transpose(1, 0, 2)
                 del img
                 # output line b * BLOCK + r is block[r] @ padded[b * BLOCK:][:width]
-                windows = sliding_window_view(padded, width, axis=0)[::BLOCK]
-                img = (block @ windows.transpose(0, 2, 1)).reshape(-1, n)[:n]
+                windows = sliding_window_view(padded.reshape(len(padded), -1), width, 0)[::BLOCK]
+                img = (block @ windows.transpose(0, 2, 1)).reshape(lines, n, k)[:n]
                 del padded, windows
-            if total is None:
-                total = img
-            else:
-                total += img
-        return total.ravel()
+            total = img if total is None else np.add(total, img, out=total)
+        return total.reshape(v.shape)
 
     def _apply(self, v):
         return self._product(v, False)

@@ -4,6 +4,8 @@ handling, and reproducibility of the benchmark artifacts."""
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from functools import partial
 from itertools import product
@@ -298,6 +300,24 @@ class TestBenchCommand:
         assert main(["fredholm-bench", *argv, "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("m, n, method", [(1, 5, "DARTR"), (3, 1, "iDARR")])
+    def test_operator_without_in_range_truth_is_usage_error(self, tmp_path, capsys, m, n,
+                                                            method):
+        # rank below 2 has no second eigenvector to be the truth
+        out = tmp_path / "res"
+        argv = ["fredholm-bench", "--m", str(m), "--n", str(n), "--truth", "in-range",
+                "--trials", "1", "--methods", method, "--output-dir", str(out)]
+        assert main(argv) == 1
+        assert "operator rank below 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only fredholm-bench with IDARR_THREADS above 1 starts a pool
+    code = "import sys, idarr.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")

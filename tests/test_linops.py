@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from idarr.arrayio import read_array, write_array
 from idarr.errors import DimensionError, GeometryError, IoError, KernelEvaluationError
@@ -14,6 +15,7 @@ from idarr.linops import (
     KERNELS,
     DenseMap,
     DiagonalMap,
+    LinearMap,
     PsfConvolutionMap,
     build_fredholm_map,
     exp_decay_kernel,
@@ -182,9 +184,34 @@ def adjoint_as_dense(lm):
     return out
 
 
+def loop_as_dense(lm):
+    """The operator matrix by one product per basis vector; as_dense's reference."""
+    out = np.empty((lm.rows, lm.cols))
+    e = np.zeros(lm.cols)
+    for i in range(lm.cols):
+        e[i] = 1.0
+        out[:, i] = lm.apply(e)
+        e[i] = 0.0
+    return out
+
+
+def loop_column_abs_sums(lm):
+    """Absolute column sums by one product per basis vector; column_abs_sums' reference."""
+    out = np.empty(lm.cols)
+    e = np.zeros(lm.cols)
+    for i in range(lm.cols):
+        e[i] = 1.0
+        out[i] = np.abs(lm.apply(e)).sum()
+        e[i] = 0.0
+    return out
+
+
 def disk_psf(radius):
     r = np.arange(-radius, radius + 1)
     return (r[:, None] ** 2 + r[None, :] ** 2 <= radius**2).astype(np.float64)
+
+
+CROSS_PSF = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 class TestSeparablePsf:
@@ -232,12 +259,17 @@ class TestSeparablePsf:
             (gaussian_psf(1.3), 1),
             (np.outer([1.0, 3.0, 2.0, 0.5], [2.0, 1.0, 0.0, 4.0, 1.0]), 1),
             (np.sqrt(np.arange(25.0)).reshape(5, 5), 5),
+            (CROSS_PSF, 2),
+            (disk_psf(3), 3),
         ],
     )
     def test_adjoint_matrix_is_bitwise_transpose(self, psf, n_terms):
         lm = PsfConvolutionMap(9, psf)
         assert len(lm.terms) == n_terms
-        np.testing.assert_array_equal(adjoint_as_dense(lm), lm.as_dense().T)
+        # 64 columns per product; every entry is one rounded product of taps
+        dense = lm.as_dense()
+        np.testing.assert_array_equal(dense, loop_as_dense(lm))
+        np.testing.assert_array_equal(adjoint_as_dense(lm), dense.T)
 
     @pytest.mark.parametrize(
         "shift", [None, 1e-12, -1e-12], ids=["random", "rank1-plus-1e-12", "rank1-minus-1e-12"]
@@ -263,7 +295,7 @@ class TestSeparablePsf:
         psf = {
             "1x7": rng.uniform(0.1, 1.0, (1, 7)),
             "7x1": rng.uniform(0.1, 1.0, (7, 1)),
-            "cross-3x3": np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]]),
+            "cross-3x3": CROSS_PSF,
             "disk-r3": disk_psf(3),
             "random-13x13": rng.uniform(0.0, 1.0, (13, 13)),
         }[kernel]
@@ -346,6 +378,119 @@ class TestBandedPsfEdges:
         finally:
             tracemalloc.stop()
         assert peak <= frames * v.nbytes
+
+
+def vector_psf_product(lm, v, flip):
+    """PsfConvolutionMap's banded passes written for one vector; the reference for vectors."""
+    n = lm.side
+    total = None
+    for passes in lm._passes[flip]:
+        img = v.reshape(n, n)
+        for block, lead in passes:
+            width = block.shape[1]
+            padded = np.zeros((-(-n // BLOCK) * BLOCK + width - BLOCK, n))
+            padded[lead:lead + n] = img.T
+            windows = sliding_window_view(padded, width, axis=0)[::BLOCK]
+            img = (block @ windows.transpose(0, 2, 1)).reshape(-1, n)[:n]
+        total = img if total is None else total + img
+    return total.ravel()
+
+
+class ProductsOnly(LinearMap):
+    """A map with only _apply / _apply_adjoint; every other method is inherited."""
+
+    def __init__(self, entries):
+        super().__init__(*entries.shape)
+        self.entries = entries
+
+    def _apply(self, v):
+        return self.entries @ v
+
+    def _apply_adjoint(self, w):
+        return self.entries.T @ w
+
+
+BLOCK_MAPS = {
+    # nonnegative entries, so the stacked-column check holds entrywise
+    "dense": lambda rng: DenseMap(rng.uniform(0.0, 1.0, (70, 50))),
+    "diagonal": lambda rng: DiagonalMap(rng.uniform(0.5, 2.0, 60)),
+    "psf-1-term": lambda rng: PsfConvolutionMap(17, gaussian_psf(1.5)),
+    "psf-2-terms": lambda rng: PsfConvolutionMap(17, CROSS_PSF),
+    "psf-3-terms": lambda rng: PsfConvolutionMap(17, disk_psf(3)),
+    "products-only": lambda rng: ProductsOnly(rng.uniform(0.0, 1.0, (40, 90))),
+}
+
+
+class TestBlockProducts:
+    """apply / apply_adjoint take a vector (n,) or a block (n, k), one column per vector."""
+
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "products-only"])
+    def test_vector_products_match_vector_reference_bitwise(self, name, direction, rng):
+        lm = BLOCK_MAPS[name](rng)
+        flip = direction == "apply_adjoint"
+        v = rng.standard_normal(lm.rows if flip else lm.cols)
+        if isinstance(lm, DenseMap):
+            expected = (lm.entries.T if flip else lm.entries) @ v
+        elif isinstance(lm, DiagonalMap):
+            expected = lm.diag * v
+        else:
+            expected = vector_psf_product(lm, v, flip)
+        np.testing.assert_array_equal(getattr(lm, direction)(v), expected)
+
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_block_matches_stacked_columns(self, name, direction, k, rng):
+        # gemm is not gemv, so only to rounding; nonnegative operands keep it entrywise
+        lm = BLOCK_MAPS[name](rng)
+        product = getattr(lm, direction)
+        n = lm.rows if direction == "apply_adjoint" else lm.cols
+        block = rng.uniform(0.0, 1.0, (n, k))
+        stacked = np.column_stack([product(col) for col in block.T])
+        np.testing.assert_allclose(product(block), stacked, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_empty_block_gives_empty_block(self, name, rng):
+        lm = BLOCK_MAPS[name](rng)
+        assert lm.apply(np.empty((lm.cols, 0))).shape == (lm.rows, 0)
+        assert lm.apply_adjoint(np.empty((lm.rows, 0))).shape == (lm.cols, 0)
+
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_bad_operand_shapes_raise(self, name, direction, rng):
+        lm = BLOCK_MAPS[name](rng)
+        product = getattr(lm, direction)
+        n = lm.rows if direction == "apply_adjoint" else lm.cols
+        for shape in [(n, 2, 1), (n + 1,), (n + 1, 2), (2, n), ()]:
+            with pytest.raises(DimensionError):
+                product(np.ones(shape))
+
+
+class TestInheritedMethods:
+    """as_dense and column_abs_sums of a map that defines only its products."""
+
+    SHAPE = (300, 200)  # rows >= cols, so a slice of the identity is at most one block
+
+    def test_as_dense_equals_entries(self, rng):
+        a = rng.standard_normal(self.SHAPE)
+        lm = ProductsOnly(a)
+        np.testing.assert_array_equal(lm.as_dense(), a)
+        np.testing.assert_array_equal(lm.as_dense(), loop_as_dense(lm))
+
+    def test_column_abs_sums_match_whole_reduction(self, rng):
+        a = rng.standard_normal(self.SHAPE)
+        lm = ProductsOnly(a)
+        np.testing.assert_allclose(lm.column_abs_sums(), np.abs(a).sum(axis=0),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(lm.column_abs_sums(), loop_column_abs_sums(lm),
+                                   rtol=1e-13, atol=0)
+
+    def test_memory_stays_within_a_few_blocks(self, rng, traced_peak):
+        lm = ProductsOnly(rng.standard_normal(self.SHAPE))
+        block = lm.rows * 64 * 8
+        assert traced_peak(lm.column_abs_sums) < 4 * block
+        assert traced_peak(lm.as_dense) < lm.rows * lm.cols * 8 + 4 * block
 
 
 class TestGaussianPsf:

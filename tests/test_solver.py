@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from idarr import (
     DenseMap,
+    DimensionError,
     Discrepancy,
     FixedIters,
     InsufficientHistoryError,
@@ -403,6 +404,16 @@ class TestSolveResultContract:
         assert result.k_stop == 1
         assert result.weak_corner
         np.testing.assert_allclose(result.x, b, atol=1e-12)
+
+    @pytest.mark.parametrize("solve", ["idarr", "irl2"])
+    def test_data_column_is_rejected(self, exp_setup, solve):
+        # operators take (m, k) blocks, so an (m, 1) b must not run as one
+        b = np.ones((exp_setup.linmap.rows, 1))
+        with pytest.raises(DimensionError):
+            if solve == "idarr":
+                idarr_solve(exp_setup.geom, b, FixedIters(3))
+            else:
+                irl2_solve(exp_setup.linmap, b, FixedIters(3))
 
     def test_discrepancy_unmet_reports_not_converged(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
