@@ -82,8 +82,8 @@ class ExperimentConfig:
     trials: int = 20
     methods: tuple = field(default=ALL_METHODS, metadata={"item": str})
     stop_rule: str = "lcurve"
-    tau: float = 1.01
-    max_iters: int = 30
+    tau: float = Discrepancy.tau
+    max_iters: int = LCurve.max_iters
     seed_base: int = 1
     output_dir: str = "results"
 
@@ -112,8 +112,9 @@ def _validate_config(cfg):
     if cfg.stop_rule not in ("lcurve", "dp"):
         raise UsageError(f"stop_rule must be lcurve or dp, got {cfg.stop_rule!r}")
     try:  # the rules own the bounds on tau and max_iters; dp_stop reads tau under lcurve too
-        LCurve(max_iters=cfg.max_iters)
         Discrepancy(0.0, cfg.tau, cfg.max_iters)
+        if cfg.stop_rule == "lcurve":
+            LCurve(max_iters=cfg.max_iters)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if cfg.seed_base < 0:
@@ -220,7 +221,7 @@ def _get_factored(kernel, m, n, method):
     setup = _get_setup(kernel, m, n)
     norm = METHODS[method][1]
     decomp = None if norm == "l2" else setup.decomposition()
-    return DirectFactorization.build(setup.linmap.entries, norm, setup.geom.rho, decomp)
+    return DirectFactorization.build(setup.linmap, norm, setup.geom.rho, decomp)
 
 
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
@@ -472,7 +473,7 @@ def _parse_stop_flag(spec, max_iters):
             return LCurve(max_iters=max_iters)
         if kind == "dp":
             noise, _, tau = rest.partition(":")
-            return Discrepancy(noise_norm=float(noise), tau=float(tau or 1.01),
+            return Discrepancy(noise_norm=float(noise), tau=float(tau) if tau else Discrepancy.tau,
                                max_iters=max_iters)
         if kind == "fixed":
             return FixedIters(int(rest))
@@ -588,7 +589,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="data vector file")
     p.add_argument("--method", default=ALL_METHODS[0], choices=ALL_METHODS)
     p.add_argument("--stop", default="lcurve", help="lcurve | dp:NOISE[:TAU] | fixed:K")
-    p.add_argument("--max-iters", type=int, default=30)
+    p.add_argument("--max-iters", type=int, default=LCurve.max_iters)
     p.add_argument("--reorthogonalize", action="store_true")
     p.add_argument("--out", default="solution.bin")
     p.set_defaults(func=cmd_solve)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (DegenerateColumnError, DimensionError, GeometryError,
                      NumericalBreakdownError, TrivialDataError)
 from .linops import LinearMap
+from .solver import select_corner
 
 N_LAMBDAS = 64  # points on the regularization-strength ladder of the direct solvers
 
@@ -180,7 +181,7 @@ class DirectFactorization:
         """
         if norm not in ("rkhs", "L2", "l2"):
             raise ValueError(f"norm must be rkhs, L2 or l2, got {norm!r}")
-        a = linmap.as_dense() if isinstance(linmap, LinearMap) else np.asarray(linmap, float)
+        a = linmap.as_dense()
         if decomp is None:
             weights = np.ones(a.shape[1]) if norm == "l2" or rho is None else rho
             decomp = generalized_eig(a, weights)
@@ -215,8 +216,6 @@ class DirectFactorization:
         res = path @ a.T - b
         residual_sq = np.einsum("ij,ij->i", res, res)
         penalty_sq = np.einsum("ij,ij->i", y, y)
-        from .solver import select_corner  # solver imports this module
-
         corner, weak = select_corner(residual_sq, penalty_sq)
         return DirectResult(
             x=path[corner].copy(),

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bidiag import BidiagProcess
 from .errors import InsufficientHistoryError
-from .rkhs import RkhsGeometry
 
 _LOG_FLOOR = 1e-300  # clamp before taking logs so a zero residual or norm stays finite
 CORNER_SCALE_FRAC = 0.05  # arc-length stencil of polyline_bends, as a fraction of the curve
@@ -290,8 +289,9 @@ class SolveResult:
 
     x is the iterate selected by the stopping rule, k_stop its index.
     history holds one record per completed iteration; iterates holds the
-    corresponding solution vectors when retention was requested. k_t is the
-    exhaustion step when the factorization terminated, else None. converged
+    corresponding solution vectors when retention was requested. reason is
+    the process's: None, or "alpha" or "beta" when that coupling vanished;
+    terminated and k_t, the exhaustion step, are read from it. converged
     is False when the rule was never satisfied within the iteration budget;
     weak_corner marks a corner chosen from near-collinear history.
     data_norm is ||b||, the residual of the zero iterate (k_stop 0).
@@ -301,11 +301,18 @@ class SolveResult:
     k_stop: int
     history: list
     iterates: list | None
-    terminated: bool
-    k_t: int | None
+    reason: str | None
     converged: bool
     weak_corner: bool = False
     data_norm: float | None = None
+
+    @property
+    def terminated(self):
+        return self.reason in ("alpha", "beta")
+
+    @property
+    def k_t(self):
+        return len(self.history) if self.terminated else None
 
     @property
     def residual(self):
@@ -342,8 +349,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
         k_stop=k_stop,
         history=history,
         iterates=iterates,
-        terminated=proc.terminated,
-        k_t=proc.k_t,
+        reason=proc.reason,
         converged=converged,
         weak_corner=weak,
         data_norm=proc.beta1,
@@ -371,8 +377,6 @@ def irl2_solve(linmap, b, stop, reorthogonalize=False, store_iterates=False):
 
 def irL2_solve(geom, b, stop, reorthogonalize=False, store_iterates=False):
     """Weighted least-squares iteration in the L2(rho) geometry."""
-    if not isinstance(geom, RkhsGeometry):
-        raise TypeError("irL2_solve needs an RkhsGeometry")
     return _iterate(
         geom.linmap, b, geom.solve_b, stop,
         reorthogonalize=reorthogonalize, store_iterates=store_iterates,

@@ -367,6 +367,16 @@ def test_bench_factorization_matches_cold_solves(config, cold_bench_caches):
             assert (warm.lam, warm.corner_index) == (cold.lam, cold.corner_index)
 
 
+@pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])
+def test_bench_factorization_shares_the_setup_operator(method, cold_bench_caches):
+    # the factorization reads the operator through as_dense(): a read-only
+    # view of the setup's entries, not a copy
+    entries = cli._get_setup("poly", 60, 20).linmap.entries
+    a = cli._get_factored("poly", 60, 20, method).a
+    assert np.shares_memory(a, entries) and a.shape == entries.shape
+    assert not a.flags.writeable
+
+
 def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
                                                         cold_bench_caches, eig_calls):
     monkeypatch.delenv("IDARR_THREADS", raising=False)
@@ -723,22 +733,26 @@ def test_bad_bench_flag_message_names_flag_and_value(flag, value, capsys):
     assert flag in err and repr(value) in err and "<lambda>" not in err
 
 
-def _stop_bound_verdicts(key, value, tmp_path):
-    """Whether each command that reads stop bound key (tau or max_iters) accepts value."""
+def _stop_bound_verdicts(key, value, tmp_path, dp=False):
+    """Whether each command that reads stop bound key (tau or max_iters) accepts value.
+
+    With dp, fredholm-bench and solve run the discrepancy rule, so only its bounds apply.
+    """
     a = np.random.default_rng(5).standard_normal((20, 8))
     desc = save_operator(DenseMap(a), str(tmp_path))
     write_array(str(tmp_path / "b.bin"), a @ np.ones(8))
     (tmp_path / "exp.cfg").write_text(f"[experiment]\n{key} = {value}\n")
     flag = "--" + key.replace("_", "-")
     bench = ["fredholm-bench", "--m", "30", "--n", "10", "--nsr-ladder", "0.5", "--trials", "1",
-             "--methods", "iDARR"]
+             "--methods", "iDARR"] + (["--stop-rule", "dp"] if dp else [])
     argvs = {
         "bench-flag": bench + [flag, value],
         "bench-config": bench + ["--config", str(tmp_path / "exp.cfg")],
         "solve": ["solve", "--operator", desc, "--data", str(tmp_path / "b.bin")]
-                 + (["--stop", f"dp:0.01:{value}"] if key == "tau" else [flag, value]),
+                 + (["--stop", f"dp:0.01:{value}"] if key == "tau"
+                    else (["--stop", "dp:0.01"] if dp else []) + [flag, value]),
     }
-    if key == "max_iters":
+    if key == "max_iters" and not dp:  # deblur runs the corner rule only
         argvs["deblur"] = ["deblur", "--image", "blobs:16", "--psf", "gaussian:1", flag, value]
     codes = {}
     for name, argv in argvs.items():
@@ -779,6 +793,7 @@ def _kernel_verdicts(name, tmp_path):
 RULE_VERDICTS = {
     "tau": partial(_stop_bound_verdicts, "tau"),
     "max_iters": partial(_stop_bound_verdicts, "max_iters"),
+    "dp_max_iters": partial(_stop_bound_verdicts, "max_iters", dp=True),
     "truth": _truth_verdicts,
     "kernel": _kernel_verdicts,
 }
@@ -787,6 +802,7 @@ RULE_VERDICTS = {
 @pytest.mark.parametrize("rule, value, accepted", [
     ("tau", "1.0", False), ("tau", "1.01", True), ("tau", "inf", False), ("tau", "nan", False),
     ("max_iters", "9", False), ("max_iters", "10", True),
+    ("dp_max_iters", "0", False), ("dp_max_iters", "5", True),
     *[("truth", v, True) for v in ("in", "in-range", "out", "out-of-range")],
     ("truth", "In", False), ("truth", "inside", False),
     *[("kernel", v, True) for v in KERNELS], ("kernel", "exp-shifted", True),

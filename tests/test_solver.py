@@ -7,12 +7,15 @@ against an independent circumscribed-circle computation (perpendicular-
 bisector circumcenter) and on synthetic polylines with known corners.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idarr import (
+    BidiagProcess,
     DenseMap,
     DimensionError,
     Discrepancy,
@@ -32,10 +35,15 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
-from idarr.properties import (residual_gaps, restricted_solution, rkhs_norm_sq,
-                              subspace_deviation)
+from idarr.properties import (rank_deficient_instance, residual_gaps, restricted_solution,
+                              rkhs_norm_sq, subspace_deviation)
 from idarr.solver import polyline_bends
 
+SOLVERS = {  # each iterative solver, called with a geometry
+    "idarr": idarr_solve,
+    "irL2": irL2_solve,
+    "irl2": lambda geom, *args, **kw: irl2_solve(geom.linmap, *args, **kw),
+}
 TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])
 
@@ -415,6 +423,39 @@ class TestSolveResultContract:
             else:
                 irl2_solve(exp_setup.linmap, b, FixedIters(3))
 
+    @pytest.mark.parametrize("a, b, budget, reason, k_t", [
+        ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0], 5, "alpha", 1),
+        ([[1.0, 1.0], [0.0, 0.0]], [0.0, 1.0], 5, "alpha", 0),  # nothing explorable
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 5, "beta", 1),
+        ([[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0], 1, None, None),  # the budget ends the run
+    ])
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_exhaustion_reason_is_kept(self, solve, a, b, budget, reason, k_t):
+        geom = RkhsGeometry(DenseMap(np.array(a)), np.ones(2))
+        result = SOLVERS[solve](geom, np.array(b), FixedIters(budget))
+        assert (result.reason, result.terminated, result.k_t) == (reason, reason is not None, k_t)
+
+    def test_exhaustion_matches_the_process(self):
+        # terminated and k_t, derived from reason and the history, equal the
+        # process's own on rank-deficient runs, ended early or by the budget
+        rng = np.random.default_rng(31)
+        ended = 0
+        for _ in range(30):
+            m, n = rng.integers(6, 14, size=2)
+            geom, b = rank_deficient_instance(rng, m, n, int(rng.integers(1, min(m, n))))
+            budget = int(rng.integers(1, n + 2))
+            for (solve, pinv), reorth in itertools.product(
+                    zip(SOLVERS.values(), (geom.apply_crkhs_pinv, geom.solve_b, None)),
+                    (False, True)):
+                result = solve(geom, b, FixedIters(budget), reorthogonalize=reorth)
+                proc = BidiagProcess(geom.linmap, b, pinv, reorthogonalize=reorth)
+                while not proc.terminated and len(proc.betas) <= budget:
+                    proc.advance()
+                assert (result.reason, result.terminated, result.k_t) == (
+                    proc.reason, proc.terminated, proc.k_t)
+                ended += proc.terminated
+        assert 0 < ended < 180
+
     def test_discrepancy_unmet_reports_not_converged(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
         problem = add_noise(clean_problem(exp_setup, xt), 0.25, 0)
@@ -460,7 +501,3 @@ class TestPlainIteration:
         for xw, xp in zip(weighted.iterates, plain.iterates):
             back = xp * scale
             np.testing.assert_allclose(xw, back, atol=1e-10 * np.abs(back).max())
-
-    def test_weighted_iteration_requires_geometry(self):
-        with pytest.raises(TypeError):
-            irL2_solve(DenseMap(TOY_A), np.array([1.0, 0.0]), FixedIters(2))
