@@ -225,23 +225,23 @@ def _get_factored(kernel, m, n, method):
 
 
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
-    """Solve for b with method, a key of METHODS: its family under its norm.
+    """Solve for b with method, a key of METHODS: its family under its norm, at stop's point.
 
-    geom is read only under the weighted norms ("L2", "rkhs"); stop and the
-    keywords (reorthogonalize, store_iterates) only by the iterative family.
-    A direct method solves through factored, its DirectFactorization of
-    linmap, when one is given, and otherwise through its cold one-shot.
-    Solvers are looked up by module name at call time.
+    geom is read only under the weighted norms ("L2", "rkhs"); the keywords
+    (reorthogonalize, store_iterates) only by the iterative family. A direct
+    method solves through factored, its DirectFactorization of linmap, when
+    one is given, and otherwise through its cold one-shot. Solvers are
+    looked up by module name at call time.
     """
     iterative, norm = METHODS[method]
     if iterative:
         solve = {"rkhs": idarr_solve, "L2": irL2_solve, "l2": irl2_solve}[norm]
         return solve(linmap if norm == "l2" else geom, b, stop, **kw)
     if factored is not None:
-        return factored.solve(b)
+        return factored.solve(b, stop)
     if norm == "rkhs":
-        return dartr_solve(linmap, geom.rho, b)
-    return tikhonov_direct(linmap, b, weights=None if norm == "l2" else geom.rho)
+        return dartr_solve(linmap, geom.rho, b, stop)
+    return tikhonov_direct(linmap, b, None if norm == "l2" else geom.rho, stop)
 
 
 def run_bench_row(cfg, method, nsr, trial):
@@ -253,7 +253,7 @@ def run_bench_row(cfg, method, nsr, trial):
     geom = problem.geom
     iterative = method in ITERATIVE_METHODS
     stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
-            if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))  # read if iterative
+            if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))
     # factored once per process, so a direct row times only its ladder solve
     factored = None if iterative else _get_factored(cfg.kernel, cfg.m, cfg.n, method)
     t0 = time.perf_counter()
@@ -262,16 +262,12 @@ def run_bench_row(cfg, method, nsr, trial):
     x = result.x
     extras = {}
     if iterative:
-        k_stop = result.k_stop
-        residuals = [rec.residual for rec in result.history]
-        k_dp = dp_stop(residuals, problem.noise_norm, cfg.tau)
+        k_dp = dp_stop([rec.residual for rec in result.history], problem.noise_norm, cfg.tau)
         if cfg.stop_rule == "lcurve":
-            extras = {"k_lcurve": k_stop, "k_dp": k_dp,
+            extras = {"k_lcurve": result.k_stop, "k_dp": k_dp,
                       "weak_corner": int(result.weak_corner)}
         else:
             extras = {"k_lcurve": "", "k_dp": k_dp, "weak_corner": ""}
-    else:
-        k_stop = result.corner_index + 1
     err = l2rho_error(geom, x, x_true)
     truth_norm = geom.weighted_norm(x_true)
     res = problem.linmap.apply(x) - problem.b
@@ -279,7 +275,7 @@ def run_bench_row(cfg, method, nsr, trial):
         "method": method,
         "nsr": f"{nsr:g}",
         "trial": trial,
-        "k_stop": k_stop,
+        "k_stop": result.k_stop,
         "l2rho_error": f"{err:.17g}",
         "relative_error": f"{err / truth_norm:.17g}",
         "loss": f"{float(res @ res):.17g}",
@@ -493,8 +489,8 @@ def _read_data(path, rows):
 
 
 def cmd_solve(args):
-    iterative, norm = METHODS[args.method]
-    stop = _parse_stop_flag(args.stop, args.max_iters)  # checked for every method
+    norm = METHODS[args.method][1]
+    stop = _parse_stop_flag(args.stop, args.max_iters)
     fresh = not os.path.exists(args.out)
     open(args.out, "ab").close()  # an unwritable --out fails before any work
     try:
@@ -510,9 +506,8 @@ def cmd_solve(args):
         if fresh:  # a failed run leaves no output file
             os.remove(args.out)
         raise
-    note = (f"k_stop={result.k_stop} residual={result.residual:.6g} converged={result.converged}"
-            if iterative else f"lambda={result.lam:.6g} corner_index={result.corner_index}")
-    print(f"method={args.method} {note} elapsed_ms={elapsed * 1e3:.1f} -> {args.out}")
+    print(f"method={args.method} k_stop={result.k_stop} residual={result.residual:.6g} "
+          f"converged={result.converged} elapsed_ms={elapsed * 1e3:.1f} -> {args.out}")
     return 0
 
 

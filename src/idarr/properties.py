@@ -86,21 +86,6 @@ def restricted_solution(geom, b):
     return factor @ coeffs
 
 
-def rkhs_norm_sq(decomp, rho, x):
-    """Quadratic form x^T C^+ ... evaluated spectrally: x^T (V Lam V^T)^+ x.
-
-    Uses the B-orthonormality inverse V^-1 = V^T B, truncated at the
-    decomposition's rank; components outside the range contribute nothing.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    r = decomp.rank
-    if r == 0:
-        return 0.0
-    coeffs = decomp.V[:, :r].T @ (rho * x)
-    return float(np.sum(coeffs**2 / decomp.lambdas[:r]))
-
-
 def terminal_deviation(geom, b):
     """Relative distance of the terminal iterate from ``restricted_solution``;
     inf if the reorthogonalized run does not terminate within n + 10 steps."""

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateColumnError, DimensionError, GeometryError,
                      NumericalBreakdownError, TrivialDataError)
 from .linops import LinearMap
-from .solver import select_corner
+from .solver import LCurve
 
 N_LAMBDAS = 64  # points on the regularization-strength ladder of the direct solvers
 
@@ -119,20 +119,25 @@ def generalized_eig(a, rho):
 
 @dataclass
 class DirectResult:
-    """Solution path of a regularized direct solve with its selected point.
+    """Solution path of a regularized direct solve with the point its rule selected.
 
-    path[j] is the solution at strength lambdas[j]; x is a copy of
-    path[corner_index], so keeping x alone does not keep the path alive.
+    path[j] is the solution at strength lambdas[j], point j + 1 of the path, and x
+    a copy of path[k_stop - 1], so keeping x alone does not keep the path alive.
     """
 
     x: np.ndarray
     lam: float
-    corner_index: int
+    k_stop: int
+    converged: bool
     lambdas: np.ndarray
     residual_sq: np.ndarray
     penalty_sq: np.ndarray
     path: np.ndarray = field(repr=False)
     weak_corner: bool = False
+
+    @property
+    def residual(self):
+        return float(np.sqrt(self.residual_sq[self.k_stop - 1]))
 
 
 def _lambda_grid(lam_max, lam_min):
@@ -195,20 +200,22 @@ class DirectFactorization:
             t, s2, floor = decomp.V, lam, lam[min(a.shape) - 1]
         return cls(a, decomp, t, s2, _lambda_grid(lam[0], floor))
 
-    def solve(self, b):
-        """Corner-selected ridge path of min ||A T y - b||^2 + lam ||y||^2, in x = T y.
+    def solve(self, b, stop=LCurve()):
+        """Ridge path of min ||A T y - b||^2 + lam ||y||^2 in x = T y, at stop's point.
 
         Every strength is the diagonal filter 1/(s2 + lam), evaluated at once
         as a (ladder x rank) array. The residual is formed explicitly from
         the path, which counts the part of b outside the range of A; A T is
-        never formed. b must be a finite, nonzero vector of length m.
+        never formed. stop selects on the ladder's norms, strongest first.
+        b must be a finite, nonzero vector of length m.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.a.shape[0],):
             raise DimensionError(f"data of shape {b.shape} does not match {self.a.shape} operator")
         if not np.all(np.isfinite(b)):
             raise NumericalBreakdownError("data vector has non-finite entries")
-        if np.linalg.norm(b) == 0:
+        data_norm = float(np.linalg.norm(b))
+        if data_norm == 0:
             raise TrivialDataError("data vector is identically zero")
         a, t, lambdas = self.a, self.t, self.lambdas
         y = (t.T @ (a.T @ b)) / (self.s2 + lambdas[:, None])
@@ -216,11 +223,13 @@ class DirectFactorization:
         res = path @ a.T - b
         residual_sq = np.einsum("ij,ij->i", res, res)
         penalty_sq = np.einsum("ij,ij->i", y, y)
-        corner, weak = select_corner(residual_sq, penalty_sq)
+        k_stop, converged, weak = stop.select(np.sqrt(residual_sq), np.sqrt(penalty_sq),
+                                              False, data_norm)
         return DirectResult(
-            x=path[corner].copy(),
-            lam=float(lambdas[corner]),
-            corner_index=int(corner),
+            x=path[k_stop - 1].copy(),
+            lam=float(lambdas[k_stop - 1]),
+            k_stop=int(k_stop),
+            converged=converged,
             lambdas=lambdas,
             residual_sq=residual_sq,
             penalty_sq=penalty_sq,
@@ -229,18 +238,19 @@ class DirectFactorization:
         )
 
 
-def dartr_solve(linmap, rho, b):
-    """Adaptive-norm direct regularization, corner-selected: a cold one-shot.
+def dartr_solve(linmap, rho, b, stop=LCurve()):
+    """Adaptive-norm direct regularization at stop's point: a cold one-shot.
 
-    DirectFactorization.build(linmap, "rkhs", rho).solve(b), one eigendecomposition.
+    DirectFactorization.build(linmap, "rkhs", rho).solve(b, stop), one eigendecomposition.
     """
-    return DirectFactorization.build(linmap, "rkhs", rho).solve(b)
+    return DirectFactorization.build(linmap, "rkhs", rho).solve(b, stop)
 
 
-def tikhonov_direct(linmap, b, weights=None):
-    """Ridge with penalty sum_i w_i x_i^2 (w = 1 for None), corner-selected: a cold one-shot.
+def tikhonov_direct(linmap, b, weights=None, stop=LCurve()):
+    """Ridge with penalty sum_i w_i x_i^2 (w = 1 for None) at stop's point: a cold one-shot.
 
-    DirectFactorization.build(linmap, "L2", weights).solve(b) ("l2" for None), one
+    DirectFactorization.build(linmap, "L2", weights).solve(b, stop) ("l2" for None), one
     eigendecomposition.
     """
-    return DirectFactorization.build(linmap, "l2" if weights is None else "L2", weights).solve(b)
+    return DirectFactorization.build(linmap, "l2" if weights is None else "L2",
+                                     weights).solve(b, stop)

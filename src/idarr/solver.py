@@ -26,14 +26,15 @@ CORNER_TIE_FRAC = 0.8  # bends within this fraction of the sharpest tie with it
 
 
 class StoppingRule:
-    """The whole stopping policy of an iterative solve.
+    """The whole stopping policy of a solve, iterative or direct.
 
-    budget is the most iterations to run; reached(residual) ends the run
+    budget is the most iterations to run; reached(residual) ends a run
     early after a step; needs_iterates asks the solver to keep every
-    iterate; select(history, terminated, data_norm) picks (k_stop,
-    converged, weak_corner) from the finished run's history, which is empty
-    when nothing was explorable. data_norm is ||b||, the residual of the
-    zero iterate (k_stop 0).
+    iterate. select(residuals, penalties, terminated, data_norm) picks
+    (k_stop, converged, weak_corner) from the norms of a path's points
+    1..K: a finished run's iterates (none when nothing was explorable) or a
+    direct ladder's strengths, strongest first. data_norm is ||b||, the
+    residual of the zero iterate (k_stop 0).
     """
 
     needs_iterates = False
@@ -48,10 +49,11 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class LCurve(StoppingRule):
-    """Run to max_iters and return the corner iterate.
+    """Run to max_iters and return the corner iterate (a ladder's corner strength).
 
-    min_iters is validated (at least 10, at most max_iters) but does not
-    change the run: the budget is max_iters.
+    The corner is lcurve_corner of the log norms, each clamped at
+    _LOG_FLOOR. min_iters is validated (at least 10, at most max_iters) but
+    does not change the run: the budget is max_iters.
     """
 
     min_iters: int = 10
@@ -66,13 +68,13 @@ class LCurve(StoppingRule):
                 f"max_iters must be at least min_iters ({self.min_iters}), got {self.max_iters}"
             )
 
-    def select(self, history, terminated, data_norm):
-        if len(history) < 3:
+    def select(self, residuals, penalties, terminated, data_norm):
+        if len(residuals) < 3:
             # no corner to find; the zero iterate needs none
-            return len(history), True, bool(history)
-        idx, weak = select_corner([rec.residual for rec in history],
-                                  [rec.penalty_norm for rec in history])
-        return history[idx].k, True, weak
+            return len(residuals), True, len(residuals) > 0
+        pts = np.log(np.maximum(np.column_stack((residuals, penalties)), _LOG_FLOOR))
+        idx, weak = lcurve_corner(pts)
+        return idx + 1, True, weak
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class Discrepancy(StoppingRule):
 
     noise_norm: float
     tau: float = 1.01
-    max_iters: int = 100
+    max_iters: int = LCurve.max_iters
 
     def __post_init__(self):
         if not 1.0 < self.tau < np.inf:
@@ -94,16 +96,18 @@ class Discrepancy(StoppingRule):
     def reached(self, residual):
         return residual <= self.tau * self.noise_norm
 
-    def select(self, history, terminated, data_norm):
-        # a run ended by exhaustion reaches the true residual floor; it is
-        # converged only if that floor meets the threshold
-        residual = history[-1].residual if history else data_norm
-        return len(history), bool(self.reached(residual)), False
+    def select(self, residuals, penalties, terminated, data_norm):
+        k = dp_stop(residuals, self.noise_norm, self.tau)
+        if k is not None:
+            return k, True, False
+        # a path that never meets the threshold ends at its last point,
+        # unconverged; the empty path is judged by the zero iterate's residual
+        return len(residuals), len(residuals) == 0 and bool(self.reached(data_norm)), False
 
 
 @dataclass(frozen=True)
 class FixedIters(StoppingRule):
-    """Run exactly k iterations (fewer only on subspace exhaustion)."""
+    """Run exactly k iterations (fewer only on subspace exhaustion); point k of a ladder."""
 
     k: int
 
@@ -115,8 +119,8 @@ class FixedIters(StoppingRule):
     def budget(self):
         return self.k
 
-    def select(self, history, terminated, data_norm):
-        return len(history), len(history) == self.k or terminated, False
+    def select(self, residuals, penalties, terminated, data_norm):
+        return min(self.k, len(residuals)), len(residuals) >= self.k or terminated, False
 
 
 # -- corner and discrepancy selection ----------------------------------------
@@ -200,18 +204,6 @@ def lcurve_corner(points):
         return pts.shape[0] - 1, True
     near = np.flatnonzero(bend >= CORNER_TIE_FRAC * bend[best])
     return start + 1 + int(near[0]), False
-
-
-def select_corner(residuals, penalties):
-    """lcurve_corner of a regularization path: (index, weak).
-
-    residuals and penalties are the path's norms, or both its squared
-    norms, ordered so the residual does not increase. Each is clamped at
-    _LOG_FLOOR before its log is taken. The iterative corner rule (LCurve)
-    and the direct ladders (DirectFactorization.solve) both select here.
-    """
-    pts = np.log(np.maximum(np.column_stack((residuals, penalties)), _LOG_FLOOR))
-    return lcurve_corner(pts)
 
 
 def dp_stop(residuals, noise_norm, tau):
@@ -341,7 +333,9 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
                 break
         x = state.x
 
-    k_stop, converged, weak = stop.select(history, proc.terminated, proc.beta1)
+    k_stop, converged, weak = stop.select([rec.residual for rec in history],
+                                          [rec.penalty_norm for rec in history],
+                                          proc.terminated, proc.beta1)
     if k_stop < len(history):
         x = iterates[k_stop - 1]
     return SolveResult(

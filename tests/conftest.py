@@ -1,4 +1,4 @@
-"""Shared fixtures; thread pinning must happen before numpy loads."""
+"""Shared fixtures and test oracles; thread pinning must happen before numpy loads."""
 
 import os
 import tracemalloc
@@ -42,6 +42,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "acceptance summary")
     for number in sorted(latest):
         terminalreporter.write_line(latest[number])
+
+
+def rkhs_norm_sq(decomp, rho, x):
+    """Quadratic form x^T C^+ ... evaluated spectrally: x^T (V Lam V^T)^+ x.
+
+    Uses the B-orthonormality inverse V^-1 = V^T B, truncated at the
+    decomposition's rank; components outside the range contribute nothing.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    r = decomp.rank
+    if r == 0:
+        return 0.0
+    coeffs = decomp.V[:, :r].T @ (rho * x)
+    return float(np.sum(coeffs**2 / decomp.lambdas[:r]))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ handling, and reproducibility of the benchmark artifacts."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,10 +17,12 @@ import pytest
 from idarr import (
     DenseMap,
     DiagonalMap,
+    Discrepancy,
     LCurve,
     add_noise,
     clean_problem,
     dartr_solve,
+    dp_stop,
     idarr_solve,
     irL2_solve,
     irl2_solve,
@@ -87,8 +90,19 @@ class TestSolveCommand:
         code = main(["solve", "--operator", desc, "--data", data,
                      "--method", "DARTR", "--out", out])
         assert code == 0
-        assert "lambda=" in capsys.readouterr().out
+        assert re.search(r" k_stop=\d+ residual=\S+ converged=(True|False) ",
+                         capsys.readouterr().out)
         assert read_array(out).shape == (6,)
+
+    def test_direct_solve_takes_the_rules_ladder_point(self, dense_instance, tmp_path, capsys):
+        desc, data, a, b = dense_instance
+        out = str(tmp_path / "x.bin")
+        assert main(["solve", "--operator", desc, "--data", data,
+                     "--method", "DARTR", "--stop", "fixed:5", "--out", out]) == 0
+        fields = dict(re.findall(r"(\w+)=(\S+)", capsys.readouterr().out))
+        assert fields["k_stop"] == "5"
+        x = read_array(out)
+        assert float(fields["residual"]) == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-5)
 
     def test_discrepancy_stop_spec(self, dense_instance, tmp_path):
         desc, data, _, b = dense_instance
@@ -360,11 +374,38 @@ def test_bench_factorization_matches_cold_solves(config, cold_bench_caches):
         factored = cli._get_factored(cfg.kernel, cfg.m, cfg.n, method)
         for nsr in cfg.nsr_ladder:
             b = add_noise(base, nsr, row_seed(cfg.seed_base, method, nsr, 1)).b
-            warm = cli.run_method(method, setup.linmap, setup.geom, b, None, factored)
-            cold = cli.run_method(method, setup.linmap, setup.geom, b, None)
+            warm = cli.run_method(method, setup.linmap, setup.geom, b, LCurve(), factored)
+            cold = cli.run_method(method, setup.linmap, setup.geom, b, LCurve())
             for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
                 assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
-            assert (warm.lam, warm.corner_index) == (cold.lam, cold.corner_index)
+            assert (warm.lam, warm.k_stop) == (cold.lam, cold.k_stop)
+
+
+def test_dp_bench_row_takes_the_direct_discrepancy_point(cold_bench_caches):
+    cfg = ExperimentConfig(kernel="exp", m=80, n=30, truth="in-range", stop_rule="dp")
+    row, extras, x = cli.run_bench_row(cfg, "DARTR", 0.25, 1)
+    setup = cli._get_setup("exp", 80, 30)
+    problem = add_noise(clean_problem(setup, cli._get_truth("exp", 80, 30, "in-range")),
+                        0.25, row["seed"])
+    ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(problem.b)
+    k_dp = dp_stop(np.sqrt(ladder.residual_sq), problem.noise_norm, cfg.tau)
+    assert k_dp is not None and k_dp != ladder.k_stop
+    assert row["k_stop"] == k_dp and extras == {}
+    assert x.tobytes() == ladder.path[k_dp - 1].tobytes()
+
+
+def test_discrepancy_budget_is_the_solve_commands(exp_setup, tmp_path, capsys):
+    # an unreachable threshold runs the whole budget, in the API as in the command
+    problem = add_noise(clean_problem(exp_setup, true_solution(exp_setup, "in-range")), 0.25, 0)
+    noise = problem.noise_norm * 1e-6
+    desc = save_operator(exp_setup.linmap, str(tmp_path))
+    write_array(str(tmp_path / "b.bin"), problem.b)
+    assert main(["solve", "--operator", desc, "--data", str(tmp_path / "b.bin"),
+                 "--stop", f"dp:{noise:.17g}", "--out", str(tmp_path / "x.bin")]) == 0
+    k_cli = int(re.search(r"k_stop=(\d+)", capsys.readouterr().out).group(1))
+    result = idarr_solve(exp_setup.geom, problem.b, Discrepancy(noise))
+    assert not result.converged
+    assert len(result.history) == result.k_stop == k_cli
 
 
 @pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])

@@ -19,7 +19,10 @@ from idarr import (
     DenseMap,
     DimensionError,
     DirectFactorization,
+    Discrepancy,
+    FixedIters,
     GeometryError,
+    LCurve,
     NumericalBreakdownError,
     RkhsGeometry,
     TrivialDataError,
@@ -33,7 +36,9 @@ from idarr import (
     tikhonov_direct,
     true_solution,
 )
-from idarr.properties import rkhs_norm_sq
+from idarr.rkhs import N_LAMBDAS
+
+from conftest import rkhs_norm_sq
 
 TOY_A = np.diag([2.0, 1.0])
 TOY_RHO = np.array([2.0 / 3.0, 1.0 / 3.0])  # normalized column sums of diag(2,1)
@@ -286,9 +291,9 @@ class TestDartrSolve:
 
     def test_selected_point_lies_on_path(self):
         result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]))
-        assert result.lam == result.lambdas[result.corner_index]
+        assert result.lam == result.lambdas[result.k_stop - 1]
         np.testing.assert_allclose(
-            result.x, result.path[result.corner_index], rtol=0, atol=1e-15
+            result.x, result.path[result.k_stop - 1], rtol=0, atol=1e-15
         )
 
     def test_trade_off_curve_is_monotone(self, exp_setup):
@@ -364,9 +369,9 @@ class TestTikhonovDirect:
         a = rng.standard_normal((8, 2))
         b = rng.standard_normal(8)
         result = tikhonov_direct(DenseMap(a), b)
-        x = result.path[result.corner_index]
+        x = result.path[result.k_stop - 1]
         direct = a @ x - b
-        assert result.residual_sq[result.corner_index] == pytest.approx(
+        assert result.residual_sq[result.k_stop - 1] == pytest.approx(
             direct @ direct, rel=1e-9
         )
 
@@ -422,7 +427,7 @@ class TestDirectLadderReference:
             res = a @ x - b
             assert result.residual_sq[j] == pytest.approx(res @ res, rel=1e-8)
             assert result.penalty_sq[j] == pytest.approx(x @ penalty @ x, rel=1e-8)
-        assert np.array_equal(result.x, result.path[result.corner_index])
+        assert np.array_equal(result.x, result.path[result.k_stop - 1])
 
     def test_unit_weights_equal_plain_penalty_bitwise(self, rng):
         a = rng.standard_normal((30, 10))
@@ -431,7 +436,7 @@ class TestDirectLadderReference:
         plain = tikhonov_direct(DenseMap(a), b)
         for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
             assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
-        assert weighted.corner_index == plain.corner_index
+        assert weighted.k_stop == plain.k_stop
 
 
 @pytest.mark.parametrize("solve", [
@@ -460,7 +465,54 @@ def test_factorization_solves_repeatedly_like_the_one_shots(rng):
         for warm, cold in pairs:
             for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
                 assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
-            assert warm.corner_index == cold.corner_index
+            assert warm.k_stop == cold.k_stop
+
+
+class TestLadderSelection:
+    """The stopping rule picks a ladder point, strongest strength first, as it picks an iterate."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self, exp_setup):
+        problem = add_noise(clean_problem(exp_setup, true_solution(exp_setup, "in-range")), 0.1, 5)
+        return DirectFactorization.build(exp_setup.linmap, "rkhs", exp_setup.geom.rho), problem
+
+    def test_discrepancy_takes_the_first_point_under_the_threshold(self, ladder):
+        factored, problem = ladder
+        result = factored.solve(problem.b, Discrepancy(problem.noise_norm, 1.05))
+        under = np.sqrt(result.residual_sq) <= 1.05 * problem.noise_norm
+        first = int(np.flatnonzero(under)[0]) + 1
+        assert 1 < first < N_LAMBDAS
+        assert (result.k_stop, result.converged) == (first, True)
+        assert result.x.tobytes() == result.path[first - 1].tobytes()
+        assert result.lam == result.lambdas[first - 1]
+        assert result.residual == np.sqrt(result.residual_sq[first - 1])
+
+    def test_unmet_discrepancy_ends_at_the_weakest_strength(self, ladder):
+        factored, problem = ladder
+        result = factored.solve(problem.b, Discrepancy(problem.noise_norm * 1e-3))
+        assert (result.k_stop, result.converged) == (N_LAMBDAS, False)
+        assert result.x.tobytes() == result.path[-1].tobytes()
+
+    def test_fixed_iters_takes_point_k(self, ladder):
+        factored, problem = ladder
+        result = factored.solve(problem.b, FixedIters(5))
+        assert result.x.tobytes() == result.path[4].tobytes()
+        assert (result.k_stop, result.converged, result.lam) == (5, True, result.lambdas[4])
+        beyond = factored.solve(problem.b, FixedIters(N_LAMBDAS + 1))
+        assert (beyond.k_stop, beyond.converged) == (N_LAMBDAS, False)
+
+    def test_default_rule_is_the_corner(self, ladder, exp_setup):
+        factored, problem = ladder
+        pairs = ((factored.solve(problem.b), factored.solve(problem.b, LCurve())),
+                 (dartr_solve(exp_setup.linmap, exp_setup.geom.rho, problem.b),
+                  dartr_solve(exp_setup.linmap, exp_setup.geom.rho, problem.b, LCurve())),
+                 (tikhonov_direct(exp_setup.linmap, problem.b),
+                  tikhonov_direct(exp_setup.linmap, problem.b, None, LCurve())))
+        for default, corner in pairs:
+            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+                assert getattr(default, name).tobytes() == getattr(corner, name).tobytes(), name
+            assert (default.k_stop, default.lam, default.converged, default.weak_corner) == (
+                corner.k_stop, corner.lam, corner.converged, corner.weak_corner)
 
 
 def test_unknown_norm_rejected():

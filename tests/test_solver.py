@@ -36,8 +36,10 @@ from idarr import (
     true_solution,
 )
 from idarr.properties import (rank_deficient_instance, residual_gaps, restricted_solution,
-                              rkhs_norm_sq, subspace_deviation)
+                              subspace_deviation)
 from idarr.solver import polyline_bends
+
+from conftest import rkhs_norm_sq
 
 SOLVERS = {  # each iterative solver, called with a geometry
     "idarr": idarr_solve,
@@ -356,6 +358,36 @@ class TestDiscrepancySelection:
         )
         assert by_dp.converged
         assert abs(by_corner.k_stop - by_dp.k_stop) <= 2
+
+
+class TestRulesOnAPath:
+    """select reads a path's norms alone, so a direct ladder's points select as a run's do."""
+
+    def test_discrepancy_takes_the_first_point_under_the_threshold(self):
+        rule = Discrepancy(0.1)
+        assert rule.select([0.5, 0.1, 0.05], [1.0, 2.0, 3.0], False, 1.0) == (2, True, False)
+        assert rule.select([0.5, 0.4], [1.0, 2.0], False, 1.0) == (2, False, False)
+        # the empty path is judged by the zero iterate's residual
+        assert rule.select([], [], True, 0.1) == (0, True, False)
+        assert rule.select([], [], True, 1.0) == (0, False, False)
+
+    def test_fixed_iters_takes_point_k(self):
+        path = np.linspace(1.0, 0.1, 64)
+        assert FixedIters(5).select(path, path[::-1], False, 1.0) == (5, True, False)
+        assert FixedIters(70).select(path, path[::-1], False, 1.0) == (64, False, False)
+        assert FixedIters(70).select(path[:3], path[:3], True, 1.0) == (3, True, False)
+
+    def test_corner_is_numbered_from_one(self):
+        pts = np.array(
+            [(-float(i), 0.0) for i in range(5)] + [(-4.0, float(j)) for j in range(1, 5)]
+        )
+        idx, weak = lcurve_corner(pts)
+        k_stop, converged, got_weak = LCurve().select(np.exp(pts[:, 0]), np.exp(pts[:, 1]),
+                                                      False, 1.0)
+        assert (k_stop, converged, got_weak) == (idx + 1, True, weak)
+
+    def test_discrepancy_budget_is_the_corner_rules(self):
+        assert Discrepancy(0.1).budget == LCurve().budget
 
 
 class TestStoppingRuleValidation:
