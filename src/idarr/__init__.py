@@ -48,7 +48,6 @@ from .problems import (
 )
 from .rkhs import (
     DirectFactorization,
-    DirectResult,
     RkhsGeometry,
     SpectralDecomposition,
     compute_exploration_weights,

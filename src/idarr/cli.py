@@ -63,7 +63,7 @@ ITERATIVE_METHODS = tuple(name for name, (iterative, _) in METHODS.items() if it
 
 RESULT_COLUMNS = (
     "method", "nsr", "trial", "k_stop", "l2rho_error",
-    "relative_error", "loss", "wall_time_ms", "seed",
+    "relative_error", "loss", "wall_time_ms", "seed", "converged",
 )
 
 
@@ -262,7 +262,7 @@ def run_bench_row(cfg, method, nsr, trial):
     x = result.x
     extras = {}
     if iterative:
-        k_dp = dp_stop([rec.residual for rec in result.history], problem.noise_norm, cfg.tau)
+        k_dp = dp_stop(result.history[:, 0], problem.noise_norm, cfg.tau)
         if cfg.stop_rule == "lcurve":
             extras = {"k_lcurve": result.k_stop, "k_dp": k_dp,
                       "weak_corner": int(result.weak_corner)}
@@ -281,6 +281,7 @@ def run_bench_row(cfg, method, nsr, trial):
         "loss": f"{float(res @ res):.17g}",
         "wall_time_ms": f"{elapsed * 1e3:.3f}",
         "seed": seed,
+        "converged": result.converged,
     }
     return row, extras, x
 
@@ -439,10 +440,10 @@ def cmd_deblur(args):
     wnorm = problem.geom.weighted_norm(truth)
     _write_csv(os.path.join(args.output_dir, "error_curve.csv"),
                ("k", "residual", "penalty_norm", "rel_error_l2", "rel_error_weighted"),
-               ([rec.k, f"{rec.residual:.17g}", f"{rec.penalty_norm:.17g}",
+               ([k, f"{res:.17g}", f"{pen:.17g}",
                  f"{np.linalg.norm(x_k - truth) / tnorm:.17g}",
                  f"{l2rho_error(problem.geom, x_k, truth) / wnorm:.17g}"]
-                for rec, x_k in zip(result.history, result.iterates)))
+                for k, ((res, pen), x_k) in enumerate(zip(result.history, result.iterates), 1)))
     summary = {
         "method": args.method,
         "side": side,

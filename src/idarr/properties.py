@@ -71,8 +71,8 @@ def residual_gaps(geom, b, steps):
     result = idarr_solve(geom, b, FixedIters(steps), store_iterates=True)
     scale = np.linalg.norm(b)
     return [
-        abs(rec.residual - np.linalg.norm(geom.linmap.apply(x) - b)) / scale
-        for rec, x in zip(result.history, result.iterates)
+        abs(res - np.linalg.norm(geom.linmap.apply(x) - b)) / scale
+        for (res, _), x in zip(result.history, result.iterates)
     ]
 
 

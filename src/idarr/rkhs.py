@@ -12,14 +12,14 @@ eigendecomposition, regularized direct solves) serve both as baselines and
 as oracles for the iterative solver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateColumnError, DimensionError, GeometryError,
                      NumericalBreakdownError, TrivialDataError)
 from .linops import LinearMap
-from .solver import LCurve
+from .solver import LCurve, SolveResult
 
 N_LAMBDAS = 64  # points on the regularization-strength ladder of the direct solvers
 
@@ -58,12 +58,16 @@ class RkhsGeometry:
         # probability vector is the job of compute_exploration_weights.
 
     def solve_b(self, v):
-        return v / self.rho
+        """Apply B^-1 to a vector (n,) or to the rows of a block (n, k)."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[0] != self.rho.size:
+            raise DimensionError(f"expected shape ({self.rho.size},) or ({self.rho.size}, k), "
+                                 f"got {v.shape}")
+        return (v.T / self.rho).T
 
     def apply_crkhs_pinv(self, p):
         """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix."""
-        t = self.linmap.apply(p / self.rho)
-        return self.linmap.apply_adjoint(t) / self.rho
+        return self.solve_b(self.linmap.apply_adjoint(self.linmap.apply(self.solve_b(p))))
 
     def weighted_norm(self, v):
         """Norm in L2(rho): sqrt(sum_i rho_i v_i^2)."""
@@ -115,29 +119,6 @@ def generalized_eig(a, rho):
     lam_max = mu[0] if mu.size else 0.0
     rank = int(np.count_nonzero(mu > lam_max * n * np.finfo(float).eps))
     return SpectralDecomposition(V=v, lambdas=mu, rank=rank)
-
-
-@dataclass
-class DirectResult:
-    """Solution path of a regularized direct solve with the point its rule selected.
-
-    path[j] is the solution at strength lambdas[j], point j + 1 of the path, and x
-    a copy of path[k_stop - 1], so keeping x alone does not keep the path alive.
-    """
-
-    x: np.ndarray
-    lam: float
-    k_stop: int
-    converged: bool
-    lambdas: np.ndarray
-    residual_sq: np.ndarray
-    penalty_sq: np.ndarray
-    path: np.ndarray = field(repr=False)
-    weak_corner: bool = False
-
-    @property
-    def residual(self):
-        return float(np.sqrt(self.residual_sq[self.k_stop - 1]))
 
 
 def _lambda_grid(lam_max, lam_min):
@@ -221,20 +202,19 @@ class DirectFactorization:
         y = (t.T @ (a.T @ b)) / (self.s2 + lambdas[:, None])
         path = y @ t.T
         res = path @ a.T - b
-        residual_sq = np.einsum("ij,ij->i", res, res)
-        penalty_sq = np.einsum("ij,ij->i", y, y)
-        k_stop, converged, weak = stop.select(np.sqrt(residual_sq), np.sqrt(penalty_sq),
-                                              False, data_norm)
-        return DirectResult(
+        history = np.sqrt(np.column_stack((np.einsum("ij,ij->i", res, res),
+                                           np.einsum("ij,ij->i", y, y))))
+        k_stop, converged, weak = stop.select(history[:, 0], history[:, 1], False, data_norm)
+        return SolveResult(
             x=path[k_stop - 1].copy(),
-            lam=float(lambdas[k_stop - 1]),
             k_stop=int(k_stop),
+            history=history,
+            iterates=path,
+            reason=None,
             converged=converged,
-            lambdas=lambdas,
-            residual_sq=residual_sq,
-            penalty_sq=penalty_sq,
-            path=path,
             weak_corner=weak,
+            data_norm=data_norm,
+            lambdas=lambdas,
         )
 
 

@@ -269,34 +269,31 @@ class UpdateState:
 
 
 @dataclass
-class IterationRecord:
-    k: int
-    residual: float
-    penalty_norm: float
-
-
-@dataclass
 class SolveResult:
-    """Outcome of an iterative solve.
+    """Outcome of a solve, iterative or direct: a path of points and the one selected.
 
-    x is the iterate selected by the stopping rule, k_stop its index.
-    history holds one record per completed iteration; iterates holds the
-    corresponding solution vectors when retention was requested. reason is
-    the process's: None, or "alpha" or "beta" when that coupling vanished;
-    terminated and k_t, the exhaustion step, are read from it. converged
-    is False when the rule was never satisfied within the iteration budget;
-    weak_corner marks a corner chosen from near-collinear history.
-    data_norm is ||b||, the residual of the zero iterate (k_stop 0).
+    history[j] is the (residual, penalty norm) of path point j + 1, a (K, 2)
+    array: a run's iterates, or a direct ladder's strengths lambdas[j],
+    strongest first (lambdas is None for a run). iterates holds the points
+    when kept: a run's list when retention was requested, a ladder's (K, n)
+    array always. x is a copy of point k_stop (zero for k_stop 0), so keeping
+    x alone does not keep the path alive. reason is the process's: None, or
+    "alpha" or "beta" when that coupling vanished; terminated and k_t, the
+    exhaustion step, are read from it. converged is False when the rule was
+    never satisfied within the iteration budget; weak_corner marks a corner
+    chosen from near-collinear history. data_norm is ||b||, the residual of
+    the zero iterate (k_stop 0).
     """
 
     x: np.ndarray
     k_stop: int
-    history: list
-    iterates: list | None
+    history: np.ndarray
+    iterates: list | np.ndarray | None
     reason: str | None
     converged: bool
     weak_corner: bool = False
     data_norm: float | None = None
+    lambdas: np.ndarray | None = None
 
     @property
     def terminated(self):
@@ -308,11 +305,11 @@ class SolveResult:
 
     @property
     def residual(self):
-        return self.history[self.k_stop - 1].residual if self.k_stop else self.data_norm
+        return float(self.history[self.k_stop - 1, 0]) if self.k_stop else self.data_norm
 
     @property
     def penalty_norm(self):
-        return self.history[self.k_stop - 1].penalty_norm if self.k_stop else None
+        return float(self.history[self.k_stop - 1, 1]) if self.k_stop else None
 
 
 def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=False):
@@ -326,15 +323,15 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
         while state.steps < stop.budget:
             step = proc.advance()
             residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
-            history.append(IterationRecord(state.steps, float(residual), float(np.sqrt(norm_sq))))
+            history.append((residual, np.sqrt(norm_sq)))
             if store_iterates:
                 iterates.append(state.x.copy())
             if step.terminated or stop.reached(residual):
                 break
         x = state.x
 
-    k_stop, converged, weak = stop.select([rec.residual for rec in history],
-                                          [rec.penalty_norm for rec in history],
+    history = np.array(history, dtype=np.float64).reshape(-1, 2)
+    k_stop, converged, weak = stop.select(history[:, 0], history[:, 1],
                                           proc.terminated, proc.beta1)
     if k_stop < len(history):
         x = iterates[k_stop - 1]

@@ -217,7 +217,7 @@ class TestBenchCommand:
         assert len(rows) == 3 * 2 * 2  # methods x ladder x trials
         assert set(rows[0]) == {
             "method", "nsr", "trial", "k_stop", "l2rho_error",
-            "relative_error", "loss", "wall_time_ms", "seed",
+            "relative_error", "loss", "wall_time_ms", "seed", "converged",
         }
         stopping = read_csv(out / "stopping.csv")
         assert len(stopping) == 2 * 2 * 2  # iterative methods only
@@ -289,6 +289,15 @@ class TestBenchCommand:
             r1.pop("wall_time_ms")
             r2.pop("wall_time_ms")
             assert r1 == r2
+
+    def test_dp_ladder_that_never_meets_the_threshold_is_unconverged(self, tmp_path):
+        out = tmp_path / "res"
+        assert main(["fredholm-bench", "--kernel", "exp", "--m", "60", "--n", "20",
+                     "--stop-rule", "dp", "--trials", "3", "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "results.csv")
+        assert {r["converged"] for r in rows} == {"True", "False"}
+        unmet = [r for r in rows if r["method"] not in ITERATIVE_METHODS and r["k_stop"] == "64"]
+        assert unmet and all(r["converged"] == "False" for r in unmet)
 
     def test_invalid_worker_count_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IDARR_THREADS", "abc")
@@ -376,9 +385,9 @@ def test_bench_factorization_matches_cold_solves(config, cold_bench_caches):
             b = add_noise(base, nsr, row_seed(cfg.seed_base, method, nsr, 1)).b
             warm = cli.run_method(method, setup.linmap, setup.geom, b, LCurve(), factored)
             cold = cli.run_method(method, setup.linmap, setup.geom, b, LCurve())
-            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+            for name in ("x", "lambdas", "history", "iterates"):
                 assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
-            assert (warm.lam, warm.k_stop) == (cold.lam, cold.k_stop)
+            assert warm.k_stop == cold.k_stop
 
 
 def test_dp_bench_row_takes_the_direct_discrepancy_point(cold_bench_caches):
@@ -388,10 +397,10 @@ def test_dp_bench_row_takes_the_direct_discrepancy_point(cold_bench_caches):
     problem = add_noise(clean_problem(setup, cli._get_truth("exp", 80, 30, "in-range")),
                         0.25, row["seed"])
     ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(problem.b)
-    k_dp = dp_stop(np.sqrt(ladder.residual_sq), problem.noise_norm, cfg.tau)
+    k_dp = dp_stop(ladder.history[:, 0], problem.noise_norm, cfg.tau)
     assert k_dp is not None and k_dp != ladder.k_stop
     assert row["k_stop"] == k_dp and extras == {}
-    assert x.tobytes() == ladder.path[k_dp - 1].tobytes()
+    assert x.tobytes() == ladder.iterates[k_dp - 1].tobytes()
 
 
 def test_discrepancy_budget_is_the_solve_commands(exp_setup, tmp_path, capsys):
@@ -650,6 +659,19 @@ def test_run_method_is_the_documented_call(method, poly_problem):
     got = cli.run_method(method, *poly_problem).x.tobytes()
     # bitwise the method's own call, and no other method's, so a swapped norm or family fails
     assert [name for name, bits in expected.items() if bits == got] == [method]
+
+
+@pytest.mark.parametrize("method", cli.ALL_METHODS)
+def test_every_method_returns_one_solve_result(method, poly_problem):
+    result = cli.run_method(method, *poly_problem)
+    k = len(result.iterates)
+    assert result.history.shape == (k, 2) and 1 <= result.k_stop <= k
+    assert result.x.tobytes() == result.iterates[result.k_stop - 1].tobytes()
+    assert result.residual == result.history[result.k_stop - 1, 0]
+    assert (result.lambdas is None) == (method in ITERATIVE_METHODS)
+    if result.lambdas is not None:
+        assert result.lambdas.shape == (k,)
+        assert result.reason is None and result.terminated is False
 
 
 class TestOracleCheckCommand:

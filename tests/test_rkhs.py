@@ -27,6 +27,7 @@ from idarr import (
     RkhsGeometry,
     TrivialDataError,
     add_noise,
+    build_fredholm_map,
     clean_problem,
     compute_exploration_weights,
     dartr_solve,
@@ -123,6 +124,21 @@ class TestRkhsGeometry:
         np.testing.assert_allclose(
             geom.apply_crkhs_pinv(p), a.T @ (a @ p), rtol=1e-15, atol=0
         )
+
+    @pytest.mark.parametrize("cols", [8, 3], ids=["square", "tall"])
+    def test_block_maps_act_column_by_column(self, cols):
+        geom = make_geometry(build_fredholm_map("exp", 8, 8)[0])
+        block = np.random.default_rng(5).standard_normal((8, cols))
+        for apply in (geom.solve_b, geom.apply_crkhs_pinv):
+            want = np.column_stack([apply(col) for col in block.T])
+            np.testing.assert_allclose(apply(block), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (8, 2, 2)])
+    def test_block_maps_reject_wrong_shapes(self, shape):
+        geom = make_geometry(build_fredholm_map("exp", 8, 8)[0])
+        for apply in (geom.solve_b, geom.apply_crkhs_pinv):
+            with pytest.raises(DimensionError):
+                apply(np.ones(shape))
 
     def test_make_geometry_normalizes(self):
         geom = make_geometry(DenseMap(TOY_A))
@@ -286,24 +302,25 @@ class TestDartrSolve:
         # penalty (x1^2 + x2^2)/9 gives x(lambda) = (2/(4 + lambda/9), 0)
         result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]))
         expected = 2.0 / (4.0 + result.lambdas / 9.0)
-        np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
-        np.testing.assert_allclose(result.path[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(result.iterates[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(result.iterates[:, 1], 0.0, atol=1e-12)
 
     def test_selected_point_lies_on_path(self):
         result = dartr_solve(DenseMap(TOY_A), TOY_RHO, np.array([1.0, 0.0]))
-        assert result.lam == result.lambdas[result.k_stop - 1]
+        assert result.history.shape == (result.lambdas.size, 2)
         np.testing.assert_allclose(
-            result.x, result.path[result.k_stop - 1], rtol=0, atol=1e-15
+            result.x, result.iterates[result.k_stop - 1], rtol=0, atol=1e-15
         )
 
     def test_trade_off_curve_is_monotone(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
         problem = add_noise(clean_problem(exp_setup, xt), 0.5, 7)
         result = dartr_solve(exp_setup.linmap, exp_setup.geom.rho, problem.b)
-        slack_r = 1e-9 * result.residual_sq[0]
-        slack_p = 1e-9 * result.penalty_sq[-1]
-        assert np.all(np.diff(result.residual_sq) <= slack_r)
-        assert np.all(np.diff(result.penalty_sq) >= -slack_p)
+        residual_sq, penalty_sq = result.history.T ** 2
+        slack_r = 1e-9 * residual_sq[0]
+        slack_p = 1e-9 * penalty_sq[-1]
+        assert np.all(np.diff(residual_sq) <= slack_r)
+        assert np.all(np.diff(penalty_sq) >= -slack_p)
 
     def test_ladder_spans_spectrum_and_extends_below(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
@@ -335,8 +352,8 @@ class TestDartrSolve:
         s4 = s**4
         penalty = np.sum((s**2 * beta / (s4 + lam)) ** 2, axis=1)
         residual = np.sum((beta * lam / (s4 + lam)) ** 2, axis=1) + outside @ outside
-        np.testing.assert_allclose(result.penalty_sq, penalty, rtol=1e-9)
-        np.testing.assert_allclose(result.residual_sq, residual, rtol=1e-9)
+        np.testing.assert_allclose(result.history[:, 1] ** 2, penalty, rtol=1e-9)
+        np.testing.assert_allclose(result.history[:, 0] ** 2, residual, rtol=1e-9)
 
     def test_beats_plain_penalty_on_smooth_kernel(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
@@ -353,8 +370,8 @@ class TestTikhonovDirect:
         # penalty x1^2 + x2^2 gives x(lambda) = (2/(4 + lambda), 0)
         result = tikhonov_direct(DenseMap(TOY_A), np.array([1.0, 0.0]))
         expected = 2.0 / (4.0 + result.lambdas)
-        np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
-        np.testing.assert_allclose(result.path[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(result.iterates[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(result.iterates[:, 1], 0.0, atol=1e-12)
 
     def test_weighted_path_matches_closed_form(self):
         # penalty 9 x1^2 + x2^2 gives x(lambda) = (2/(4 + 9 lambda), 0)
@@ -362,16 +379,16 @@ class TestTikhonovDirect:
             DenseMap(TOY_A), np.array([1.0, 0.0]), weights=np.array([9.0, 1.0]),
         )
         expected = 2.0 / (4.0 + 9.0 * result.lambdas)
-        np.testing.assert_allclose(result.path[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(result.iterates[:, 0], expected, rtol=1e-12)
 
     def test_residual_includes_out_of_range_component(self, rng):
         # tall system: part of b lies outside the operator's column span
         a = rng.standard_normal((8, 2))
         b = rng.standard_normal(8)
         result = tikhonov_direct(DenseMap(a), b)
-        x = result.path[result.k_stop - 1]
+        x = result.iterates[result.k_stop - 1]
         direct = a @ x - b
-        assert result.residual_sq[result.k_stop - 1] == pytest.approx(
+        assert result.history[result.k_stop - 1, 0] ** 2 == pytest.approx(
             direct @ direct, rel=1e-9
         )
 
@@ -420,21 +437,21 @@ class TestDirectLadderReference:
         else:
             result = tikhonov_direct(DenseMap(a), b)
             penalty = np.eye(12)
-        assert result.path.shape == (result.lambdas.size, 12)
+        assert result.iterates.shape == (result.lambdas.size, 12)
         for j, lam in enumerate(result.lambdas):
             x = np.linalg.solve(gram + lam * penalty, a.T @ b)
-            assert np.linalg.norm(result.path[j] - x) <= 1e-8 * np.linalg.norm(x)
+            assert np.linalg.norm(result.iterates[j] - x) <= 1e-8 * np.linalg.norm(x)
             res = a @ x - b
-            assert result.residual_sq[j] == pytest.approx(res @ res, rel=1e-8)
-            assert result.penalty_sq[j] == pytest.approx(x @ penalty @ x, rel=1e-8)
-        assert np.array_equal(result.x, result.path[result.k_stop - 1])
+            assert result.history[j, 0] ** 2 == pytest.approx(res @ res, rel=1e-8)
+            assert result.history[j, 1] ** 2 == pytest.approx(x @ penalty @ x, rel=1e-8)
+        assert np.array_equal(result.x, result.iterates[result.k_stop - 1])
 
     def test_unit_weights_equal_plain_penalty_bitwise(self, rng):
         a = rng.standard_normal((30, 10))
         b = rng.standard_normal(30)
         weighted = tikhonov_direct(DenseMap(a), b, weights=np.ones(10))
         plain = tikhonov_direct(DenseMap(a), b)
-        for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+        for name in ("x", "lambdas", "history", "iterates"):
             assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
         assert weighted.k_stop == plain.k_stop
 
@@ -463,7 +480,7 @@ def test_factorization_solves_repeatedly_like_the_one_shots(rng):
         pairs = ((dartr.solve(b), dartr_solve(DenseMap(a), rho, b)),
                  (tikhonov.solve(b), tikhonov_direct(DenseMap(a), b, weights=rho)))
         for warm, cold in pairs:
-            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+            for name in ("x", "lambdas", "history", "iterates"):
                 assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
             assert warm.k_stop == cold.k_stop
 
@@ -479,25 +496,24 @@ class TestLadderSelection:
     def test_discrepancy_takes_the_first_point_under_the_threshold(self, ladder):
         factored, problem = ladder
         result = factored.solve(problem.b, Discrepancy(problem.noise_norm, 1.05))
-        under = np.sqrt(result.residual_sq) <= 1.05 * problem.noise_norm
+        under = result.history[:, 0] <= 1.05 * problem.noise_norm
         first = int(np.flatnonzero(under)[0]) + 1
         assert 1 < first < N_LAMBDAS
         assert (result.k_stop, result.converged) == (first, True)
-        assert result.x.tobytes() == result.path[first - 1].tobytes()
-        assert result.lam == result.lambdas[first - 1]
-        assert result.residual == np.sqrt(result.residual_sq[first - 1])
+        assert result.x.tobytes() == result.iterates[first - 1].tobytes()
+        assert result.residual == result.history[first - 1, 0]
 
     def test_unmet_discrepancy_ends_at_the_weakest_strength(self, ladder):
         factored, problem = ladder
         result = factored.solve(problem.b, Discrepancy(problem.noise_norm * 1e-3))
         assert (result.k_stop, result.converged) == (N_LAMBDAS, False)
-        assert result.x.tobytes() == result.path[-1].tobytes()
+        assert result.x.tobytes() == result.iterates[-1].tobytes()
 
     def test_fixed_iters_takes_point_k(self, ladder):
         factored, problem = ladder
         result = factored.solve(problem.b, FixedIters(5))
-        assert result.x.tobytes() == result.path[4].tobytes()
-        assert (result.k_stop, result.converged, result.lam) == (5, True, result.lambdas[4])
+        assert result.x.tobytes() == result.iterates[4].tobytes()
+        assert (result.k_stop, result.converged) == (5, True)
         beyond = factored.solve(problem.b, FixedIters(N_LAMBDAS + 1))
         assert (beyond.k_stop, beyond.converged) == (N_LAMBDAS, False)
 
@@ -509,10 +525,10 @@ class TestLadderSelection:
                  (tikhonov_direct(exp_setup.linmap, problem.b),
                   tikhonov_direct(exp_setup.linmap, problem.b, None, LCurve())))
         for default, corner in pairs:
-            for name in ("x", "lambdas", "residual_sq", "penalty_sq", "path"):
+            for name in ("x", "lambdas", "history", "iterates"):
                 assert getattr(default, name).tobytes() == getattr(corner, name).tobytes(), name
-            assert (default.k_stop, default.lam, default.converged, default.weak_corner) == (
-                corner.k_stop, corner.lam, corner.converged, corner.weak_corner)
+            assert (default.k_stop, default.converged, default.weak_corner) == (
+                corner.k_stop, corner.converged, corner.weak_corner)
 
 
 def test_unknown_norm_rejected():

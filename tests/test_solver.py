@@ -112,8 +112,8 @@ class TestUpdateRecursion:
         assert result.k_stop == 1
         assert result.terminated and result.k_t == 1
         assert result.converged
-        assert result.history[0].residual == pytest.approx(0.0, abs=1e-14)
-        assert result.history[0].penalty_norm == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert result.history[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert result.history[0, 1] == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_iterates_match_dense_subspace_oracle(self, rng):
         a = rng.standard_normal((15, 8))
@@ -139,16 +139,15 @@ class TestUpdateRecursion:
         b = rng.standard_normal(15)
         decomp = generalized_eig(a, rho)
         result = idarr_solve(geom, b, FixedIters(6), store_iterates=True)
-        for rec, x in zip(result.history, result.iterates):
+        for (_, penalty_norm), x in zip(result.history, result.iterates):
             spectral = np.sqrt(rkhs_norm_sq(decomp, rho, x))
-            assert rec.penalty_norm == pytest.approx(spectral, rel=1e-6, abs=1e-10)
+            assert penalty_norm == pytest.approx(spectral, rel=1e-6, abs=1e-10)
 
     def test_residuals_monotone_and_penalty_nondecreasing(self, exp_setup):
         xt = true_solution(exp_setup, "in-range")
         problem = add_noise(clean_problem(exp_setup, xt), 0.25, 4)
         result = idarr_solve(exp_setup.geom, problem.b, FixedIters(30))
-        res = np.array([r.residual for r in result.history])
-        pen = np.array([r.penalty_norm for r in result.history])
+        res, pen = result.history.T
         assert np.all(np.diff(res) <= 1e-12 * res[0])
         assert np.all(np.diff(pen) >= -1e-10 * pen[-1])
 
@@ -210,7 +209,7 @@ class TestUpdateRecursion:
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
         geom = RkhsGeometry(DenseMap(a), np.ones(2))
         result = idarr_solve(geom, np.array([0.0, 1.0]), stop)
-        assert result.k_stop == 0 and result.history == []
+        assert result.k_stop == 0 and result.history.shape == (0, 2)
         assert result.converged is converged
         assert result.weak_corner is False
 
@@ -260,9 +259,7 @@ class TestCornerDetector:
         xt = true_solution(exp_setup, "in-range")
         problem = add_noise(clean_problem(exp_setup, xt), 0.5, 11)
         result = idarr_solve(exp_setup.geom, problem.b, LCurve())
-        pts = np.array(
-            [(np.log(r.residual), np.log(r.penalty_norm)) for r in result.history]
-        )
+        pts = np.log(result.history)
         bends = polyline_bends(pts)
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
@@ -434,8 +431,8 @@ class TestSolveResultContract:
         result = idarr_solve(exp_setup.geom, problem.b, LCurve())
         assert len(result.iterates) == len(result.history) == 30
         np.testing.assert_array_equal(result.x, result.iterates[result.k_stop - 1])
-        assert result.residual == result.history[result.k_stop - 1].residual
-        assert result.penalty_norm == result.history[result.k_stop - 1].penalty_norm
+        assert result.residual == result.history[result.k_stop - 1, 0]
+        assert result.penalty_norm == result.history[result.k_stop - 1, 1]
 
     def test_identity_system_stops_at_one_weakly(self):
         geom = make_geometry(DenseMap(np.eye(5)))
