@@ -192,7 +192,11 @@ def _write_csv(path, header, rows):
 
 
 def _worker_count():
-    """Benchmark worker processes: IDARR_THREADS (default 1), at most the core count."""
+    """Benchmark worker processes: IDARR_THREADS (default 1), at most the usable CPUs.
+
+    Usable CPUs are those this process may run on (its affinity mask), or
+    the host's count where the platform has no affinity call.
+    """
     raw = os.environ.get("IDARR_THREADS", "1")
     try:
         count = int(raw)
@@ -200,6 +204,8 @@ def _worker_count():
         count = 0
     if count < 1:
         raise UsageError(f"IDARR_THREADS must be a positive integer, got {raw!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(count, len(os.sched_getaffinity(0)))
     return min(count, os.cpu_count() or 1)
 
 

@@ -3,8 +3,9 @@
 A LinearMap exposes a forward action and its adjoint on vectors and blocks.
 Concrete maps cover dense matrices, diagonal scalings, integral-equation
 discretizations, and spatially invariant image blur. All solvers in this
-package touch operators only through apply/apply_adjoint, so any map is
-usable matrix-free.
+package touch operators only through apply, apply_adjoint and apply_normal,
+whose default is the adjoint of the forward action, so any map that
+implements the first two is usable matrix-free.
 """
 
 from abc import ABC, abstractmethod
@@ -41,6 +42,10 @@ class LinearMap(ABC):
         w = self._check_vec(w, self.rows, "apply_adjoint")
         return np.asarray(self._apply_adjoint(w), dtype=np.float64)
 
+    def apply_normal(self, v):
+        """A^T (A v) for a vector (n,) or a block (n, k): the adjoint of the forward action."""
+        return self.apply_adjoint(self.apply(v))
+
     @abstractmethod
     def _apply(self, v):
         ...
@@ -76,6 +81,11 @@ class LinearMap(ABC):
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
+# bytes of A per row block of DenseMap.apply_normal; of 256 KiB to 2 MiB,
+# 512 KiB and 1 MiB were fastest on a core with 2 MiB of L2
+NORMAL_BLOCK_BYTES = 1 << 20
+
+
 class DenseMap(LinearMap):
     """Operator backed by an explicit matrix."""
 
@@ -91,6 +101,22 @@ class DenseMap(LinearMap):
 
     def _apply_adjoint(self, w):
         return self.entries.T @ w
+
+    def apply_normal(self, v):
+        """A^T (A v), reading each block of rows of A once, while it is in cache.
+
+        The row blocks' products a_i^T (a_i v) are summed in order, so a matrix
+        that fits one block of NORMAL_BLOCK_BYTES gives bitwise
+        ``apply_adjoint(apply(v))``; more blocks agree with it up to the
+        rounding of the sum.
+        """
+        v = self._check_vec(v, self.cols, "apply_normal")
+        a, step = self.entries, max(1, NORMAL_BLOCK_BYTES // (8 * self.cols))
+        out = a[:step].T @ (a[:step] @ v)
+        for i in range(step, self.rows, step):
+            block = a[i:i + step]
+            out += block.T @ (block @ v)
+        return out
 
     def column_abs_sums(self):
         # bitwise np.abs(entries).sum(axis=0): NumPy sums contiguous columns pairwise, else by rows

@@ -67,7 +67,7 @@ class RkhsGeometry:
 
     def apply_crkhs_pinv(self, p):
         """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix."""
-        return self.solve_b(self.linmap.apply_adjoint(self.linmap.apply(self.solve_b(p))))
+        return self.solve_b(self.linmap.apply_normal(self.solve_b(p)))
 
     def weighted_norm(self, v):
         """Norm in L2(rho): sqrt(sum_i rho_i v_i^2)."""

@@ -441,11 +441,29 @@ def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("raw, cores, want", [
-    ("1", 4, 1), ("3", 4, 3), ("4", 4, 4), ("20000", 4, 4), ("2", None, 1),
+    ("1", 4, 1), ("3", 4, 3), ("4", 4, 4), ("20000", 4, 4),
 ])
 def test_worker_count_is_capped_at_the_core_count(monkeypatch, raw, cores, want):
     # only the pool size is computed here; no pool is started
     monkeypatch.setenv("IDARR_THREADS", raw)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert cli._worker_count() == want
+
+
+def test_worker_count_is_capped_at_the_affinity_not_the_host(monkeypatch):
+    # a cpuset of 2 CPUs on an 8-CPU host
+    monkeypatch.setenv("IDARR_THREADS", "8")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._worker_count() == 2
+
+
+@pytest.mark.parametrize("raw, cores, want", [("3", 4, 3), ("20000", 4, 4), ("2", None, 1)])
+def test_worker_count_falls_back_to_the_host_count(monkeypatch, raw, cores, want):
+    # a platform without an affinity call
+    monkeypatch.setenv("IDARR_THREADS", raw)
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     assert cli._worker_count() == want
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from idarr import linops
 from idarr.arrayio import read_array, write_array
 from idarr.errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 from idarr.linops import (
@@ -422,7 +423,7 @@ BLOCK_MAPS = {
 
 
 class TestBlockProducts:
-    """apply / apply_adjoint take a vector (n,) or a block (n, k), one column per vector."""
+    """Products take a vector (n,) or a block (n, k), one column per vector."""
 
     @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
     @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "products-only"])
@@ -439,7 +440,7 @@ class TestBlockProducts:
         np.testing.assert_array_equal(getattr(lm, direction)(v), expected)
 
     @pytest.mark.parametrize("k", [1, 5, 64])
-    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint", "apply_normal"])
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
     def test_block_matches_stacked_columns(self, name, direction, k, rng):
         # gemm is not gemv, so only to rounding; nonnegative operands keep it entrywise
@@ -455,8 +456,9 @@ class TestBlockProducts:
         lm = BLOCK_MAPS[name](rng)
         assert lm.apply(np.empty((lm.cols, 0))).shape == (lm.rows, 0)
         assert lm.apply_adjoint(np.empty((lm.rows, 0))).shape == (lm.cols, 0)
+        assert lm.apply_normal(np.empty((lm.cols, 0))).shape == (lm.cols, 0)
 
-    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint", "apply_normal"])
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
     def test_bad_operand_shapes_raise(self, name, direction, rng):
         lm = BLOCK_MAPS[name](rng)
@@ -465,6 +467,47 @@ class TestBlockProducts:
         for shape in [(n, 2, 1), (n + 1,), (n + 1, 2), (2, n), ()]:
             with pytest.raises(DimensionError):
                 product(np.ones(shape))
+
+
+def normal_operand(lm, k, rng):
+    return rng.standard_normal(lm.cols if k is None else (lm.cols, k))
+
+
+class TestNormalProduct:
+    """apply_normal is A^T (A v): the two products by default, one pass over a dense A."""
+
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "dense"])
+    def test_default_is_the_two_products_bitwise(self, name, k, rng):
+        lm = BLOCK_MAPS[name](rng)
+        assert type(lm).apply_normal is LinearMap.apply_normal
+        v = normal_operand(lm, k, rng)
+        np.testing.assert_array_equal(lm.apply_normal(v), lm.apply_adjoint(lm.apply(v)))
+
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_in_one_block_is_the_two_products_bitwise(self, order, k, rng):
+        lm = DenseMap(np.asarray(rng.standard_normal((70, 50)), order=order))
+        assert 8 * lm.rows * lm.cols <= linops.NORMAL_BLOCK_BYTES
+        v = normal_operand(lm, k, rng)
+        np.testing.assert_array_equal(lm.apply_normal(v), lm.apply_adjoint(lm.apply(v)))
+
+    @pytest.mark.parametrize("k", [None, 5])
+    @pytest.mark.parametrize("shape, rows_per_block", [
+        ((70, 50), 16),    # four full blocks and a partial one of 6 rows
+        ((70, 50), 7),     # ten full blocks
+        ((70, 50), 1),     # one row per block
+        ((3000, 200), None),  # the module's own budget: 655 rows per block
+    ])
+    def test_dense_across_blocks_matches_the_two_products(self, shape, rows_per_block, k,
+                                                          rng, monkeypatch):
+        if rows_per_block is not None:
+            monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * shape[1] * rows_per_block)
+        lm = DenseMap(rng.standard_normal(shape))
+        v = normal_operand(lm, k, rng)
+        # rounding of a reordered sum: 1e-13 of the summed magnitudes, entry by entry
+        scale = np.abs(lm.entries).T @ (np.abs(lm.entries) @ np.abs(v))
+        assert np.all(np.abs(lm.apply_normal(v) - lm.apply_adjoint(lm.apply(v))) <= 1e-13 * scale)
 
 
 class TestInheritedMethods:

@@ -9,6 +9,8 @@ three direct solvers is checked against a per-strength normal-equations
 solve.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,11 +34,15 @@ from idarr import (
     compute_exploration_weights,
     dartr_solve,
     generalized_eig,
+    idarr_solve,
     l2rho_error,
+    make_fredholm,
     make_geometry,
     tikhonov_direct,
     true_solution,
 )
+from idarr import linops
+from idarr.cli import main
 from idarr.rkhs import N_LAMBDAS
 
 from conftest import rkhs_norm_sq
@@ -143,6 +149,43 @@ class TestRkhsGeometry:
     def test_make_geometry_normalizes(self):
         geom = make_geometry(DenseMap(TOY_A))
         np.testing.assert_allclose(geom.rho, TOY_RHO, atol=1e-15)
+
+
+def two_product_crkhs_pinv(geom, p):
+    """C^+ as the forward action, then the adjoint: the reference for the fused path."""
+    return geom.solve_b(geom.linmap.apply_adjoint(geom.linmap.apply(geom.solve_b(p))))
+
+
+class TestFusedMetric:
+    """C^+ reads a dense operator once; solves keep the two-product path's results."""
+
+    def test_reorthogonalized_idarr_on_many_blocks_matches_two_products(self, monkeypatch):
+        setup = make_fredholm("poly", 300, 120)
+        # 23 rows per block: 13 full blocks and a last one of 1 row
+        monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * 120 * 23)
+        b = add_noise(clean_problem(setup, true_solution(setup, "out")), 0.01, 3).b
+        stop = LCurve(max_iters=60)
+        fused = idarr_solve(setup.geom, b, stop, reorthogonalize=True)
+        monkeypatch.setattr(RkhsGeometry, "apply_crkhs_pinv", two_product_crkhs_pinv)
+        ref = idarr_solve(setup.geom, b, stop, reorthogonalize=True)
+        assert fused.k_stop == ref.k_stop
+        assert np.linalg.norm(fused.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x)
+
+    def test_fredholm_solutions_are_bitwise_the_two_product_ones(self, tmp_path, monkeypatch):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "poly_in_range.cfg")
+        assert 8 * 500 * 100 <= linops.NORMAL_BLOCK_BYTES  # the config's operator is one block
+
+        def solutions(name):
+            out = tmp_path / name
+            assert main(["fredholm-bench", "--config", config, "--trials", "2",
+                         "--methods", "iDARR", "--output-dir", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in sorted((out / "solutions").iterdir())}
+
+        fused = solutions("fused")
+        monkeypatch.setattr(RkhsGeometry, "apply_crkhs_pinv", two_product_crkhs_pinv)
+        ref = solutions("ref")
+        assert len(fused) == 10 and fused == ref
 
 
 class TestGeneralizedEig:
