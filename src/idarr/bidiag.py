@@ -88,6 +88,13 @@ class BidiagProcess:
     step, are read from it. Once terminated, betas has one more entry than
     alphas (the closing coupling, zero if the data-space direction vanished).
 
+    A coupling counts as vanished at or below the floor
+    max(rows, cols) * eps * max(alpha_1, beta_1), where rows and cols are
+    those of the operator the process is given. The same problem posed on
+    an orthogonally reduced operator, such as the (n+1) x n [R; 0] of a
+    tall A = QR, gets an (n+1)-based floor, so where the couplings reach
+    roundoff it can run past the step at which A's process exhausts.
+
     Parameters
     ----------
     linmap : LinearMap

@@ -29,7 +29,7 @@ from .errors import (
     TrivialDataError,
     UsageError,
 )
-from .linops import KERNELS, write_pgm
+from .linops import KERNELS, DenseMap, write_pgm
 from .problems import (
     NSR_LADDER,
     TRUTH_KINDS,
@@ -230,6 +230,22 @@ def _get_factored(kernel, m, n, method):
     return DirectFactorization.build(setup.linmap, norm, setup.geom.rho, decomp)
 
 
+@lru_cache(maxsize=None)
+def _get_reduced(kernel, m, n):
+    """(Q, geometry of [R; 0]) for the setup's A = QR: the iterative rows' operator.
+
+    Golub-Kahan is invariant under an orthogonal change of data space, so a
+    run on [R; 0] with data [Q^T b; ||b - Q Q^T b||] has, in exact
+    arithmetic, A's iterates and residuals at O(n^2) per product. The
+    geometry keeps A's rho (R's column sums differ), so C^+ is A's: R^T R =
+    A^T A. For m < n, R is m x n and the appended residual is roundoff.
+    """
+    setup = _get_setup(kernel, m, n)
+    q, r = np.linalg.qr(setup.linmap.as_dense())
+    reduced = DenseMap(np.vstack((r, np.zeros((1, r.shape[1])))))
+    return q, RkhsGeometry(reduced, setup.geom.rho)
+
+
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
     """Solve for b with method, a key of METHODS: its family under its norm, at stop's point.
 
@@ -260,10 +276,17 @@ def run_bench_row(cfg, method, nsr, trial):
     iterative = method in ITERATIVE_METHODS
     stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
             if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))
-    # factored once per process, so a direct row times only its ladder solve
-    factored = None if iterative else _get_factored(cfg.kernel, cfg.m, cfg.n, method)
-    t0 = time.perf_counter()
-    result = run_method(method, problem.linmap, geom, problem.b, stop, factored)
+    # reduced or factored once per process, so a row times only its own solve
+    if iterative:
+        q, reduced = _get_reduced(cfg.kernel, cfg.m, cfg.n)
+        t0 = time.perf_counter()
+        qb = q.T @ problem.b
+        b = np.append(qb, np.linalg.norm(problem.b - q @ qb))
+        result = run_method(method, reduced.linmap, reduced, b, stop)
+    else:
+        factored = _get_factored(cfg.kernel, cfg.m, cfg.n, method)
+        t0 = time.perf_counter()
+        result = run_method(method, problem.linmap, geom, problem.b, stop, factored)
     elapsed = time.perf_counter() - t0
     x = result.x
     extras = {}

@@ -18,6 +18,7 @@ from idarr import (
     DenseMap,
     DiagonalMap,
     Discrepancy,
+    FixedIters,
     LCurve,
     add_noise,
     clean_problem,
@@ -350,8 +351,8 @@ CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name
 
 @pytest.fixture()
 def cold_bench_caches():
-    """Empty the per-process setup, truth and factorization caches before and after."""
-    caches = (cli._get_setup, cli._get_truth, cli._get_factored)
+    """Empty the per-process setup, truth, factorization and reduction caches before and after."""
+    caches = (cli._get_setup, cli._get_truth, cli._get_factored, cli._get_reduced)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -371,6 +372,20 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(rkhs, "generalized_eig", counted)
     monkeypatch.setattr(problems, "generalized_eig", counted)
+    return calls
+
+
+@pytest.fixture()
+def qr_calls(monkeypatch):
+    """Count np.linalg.qr calls by the shape of the matrix factored."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
     return calls
 
 
@@ -428,16 +443,97 @@ def test_bench_factorization_shares_the_setup_operator(method, cold_bench_caches
 
 
 def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
-                                                        cold_bench_caches, eig_calls):
+                                                        cold_bench_caches, eig_calls, qr_calls):
     monkeypatch.delenv("IDARR_THREADS", raising=False)
     for i, config in enumerate(CONFIGS):
         assert main(["fredholm-bench", "--config", config, "--trials", "1",
-                     "--methods", "iDARR,DARTR,L2-direct",
+                     "--methods", "iDARR,IR-l2,IR-L2,DARTR,L2-direct",
                      "--output-dir", str(tmp_path / str(i))]) == 0
     assert len(eig_calls) == 2  # exp and poly, each under rho
+    assert qr_calls == [(500, 100)] * 2  # one reduction per operator, for every iterative row
     assert main(["fredholm-bench", "--config", CONFIGS[-1], "--trials", "2",
                  "--methods", "l2-direct", "--output-dir", str(tmp_path / "unit")]) == 0
     assert len(eig_calls) == 3  # poly under unit weights
+    assert len(qr_calls) == 2
+
+
+def reduced_data(q, b):
+    """[Q^T b; ||b - Q Q^T b||]: the data of a run on [R; 0], with ||b|| and every residual kept."""
+    qb = q.T @ b
+    return np.append(qb, np.linalg.norm(b - q @ qb))
+
+
+# (truth, nsr, seed) draws on make_fredholm(kernel, 200, 40)
+REDUCTION_DRAWS = list(product(("in-range", "out-of-range"), (1.0, 0.25, 0.0625), range(3)))
+
+
+def full_and_reduced_runs(kernel, stop, reorthogonalize):
+    """Each iterative method's run on (A, b) and on ([R; 0], reduced b), for every draw."""
+    setup = cli._get_setup(kernel, 200, 40)
+    q, reduced = cli._get_reduced(kernel, 200, 40)
+    for truth, nsr, seed in REDUCTION_DRAWS:
+        b = add_noise(clean_problem(setup, true_solution(setup, truth)), nsr, seed).b
+        for method in ITERATIVE_METHODS:
+            yield (cli.run_method(method, setup.linmap, setup.geom, b, stop,
+                                  reorthogonalize=reorthogonalize),
+                   cli.run_method(method, reduced.linmap, reduced, reduced_data(q, b), stop,
+                                  reorthogonalize=reorthogonalize))
+
+
+@pytest.mark.parametrize("kernel", ["exp", "poly"])
+def test_reduced_plain_runs_match_the_operators(kernel, cold_bench_caches):
+    # Worst measured: x 9.0e-8 and history 5.5e-9 (exp, iDARR). Reversing A's
+    # rows, an orthogonal change of data space with no reduction, moves x by
+    # 5.8e-8 on the same kernel: plain runs amplify roundoff.
+    for full, red in full_and_reduced_runs(kernel, FixedIters(3), False):
+        assert red.k_stop == full.k_stop == 3
+        assert np.linalg.norm(red.x - full.x) <= 1e-6 * np.linalg.norm(full.x)
+        np.testing.assert_allclose(red.history, full.history, rtol=1e-7)
+
+
+@pytest.mark.parametrize("kernel", ["exp", "poly"])
+def test_reduced_reorthogonalized_runs_match_the_operators(kernel, cold_bench_caches):
+    # Where k_stop agrees, x and the history up to k_stop agree within 1e-10
+    # (worst measured: 1.8e-14 and 4.7e-13). The exhaustion floor scales with
+    # the operator's rows, 41 here against A's 200. On exp, whose couplings
+    # reach roundoff within 15 steps (43 of 54 full runs exhaust), a reduced
+    # run may go on after the full one exhausted, and the corner may then
+    # move: 1 of 54 runs here (IR-l2, out-of-range, nsr 1, seed 0: 4 -> 15).
+    moved = 0
+    for full, red in full_and_reduced_runs(kernel, LCurve(max_iters=15), True):
+        if red.k_stop != full.k_stop:
+            assert full.terminated and len(red.history) >= len(full.history)
+            assert (len(red.history), red.reason) != (len(full.history), full.reason)
+            moved += 1
+            continue
+        assert np.linalg.norm(red.x - full.x) <= 1e-10 * np.linalg.norm(full.x)
+        np.testing.assert_allclose(red.history[:full.k_stop], full.history[:full.k_stop],
+                                   rtol=1e-10)
+    assert moved <= len(REDUCTION_DRAWS) * len(ITERATIVE_METHODS) // 10
+
+
+@pytest.mark.parametrize("m, n", [(80, 30), (40, 40), (20, 60)])
+def test_iterative_rows_solve_on_the_reduced_operator(m, n, cold_bench_caches):
+    # tall, square and wide operators take one path; for m <= n the
+    # reduction drops nothing, and the appended residual is at roundoff
+    cfg = ExperimentConfig(kernel="poly", m=m, n=n, truth="out-of-range")
+    setup = cli._get_setup("poly", m, n)
+    q, reduced = cli._get_reduced("poly", m, n)
+    assert q.shape == (m, min(m, n)) and reduced.linmap.entries.shape == (min(m, n) + 1, n)
+    # A's rho, so C^+ = B^-1 R^T R B^-1 is A's metric
+    assert reduced.rho.tobytes() == setup.geom.rho.tobytes()
+    p = np.random.default_rng(5).standard_normal(n)
+    want = setup.geom.apply_crkhs_pinv(p)
+    assert np.linalg.norm(reduced.apply_crkhs_pinv(p) - want) <= 1e-12 * np.linalg.norm(want)
+    base = clean_problem(setup, cli._get_truth("poly", m, n, cfg.truth))
+    for method in ITERATIVE_METHODS:
+        row, _, x = cli.run_bench_row(cfg, method, 0.25, 1)
+        b = add_noise(base, 0.25, row["seed"]).b
+        res = setup.linmap.entries @ x - b
+        assert np.all(np.isfinite(x))
+        assert float(row["loss"]) == pytest.approx(float(res @ res), rel=1e-12)
+        if m <= n:
+            assert reduced_data(q, b)[-1] <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("raw, cores, want", [
