@@ -65,6 +65,7 @@ RESULT_COLUMNS = (
     "method", "nsr", "trial", "k_stop", "l2rho_error",
     "relative_error", "loss", "wall_time_ms", "seed", "converged",
 )
+STOP_COLUMNS = ("method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner")
 
 
 @dataclass
@@ -223,27 +224,29 @@ def _get_truth(kernel, m, n, truth):
 
 @lru_cache(maxsize=None)
 def _get_factored(kernel, m, n, method):
-    """A direct method's factorization; the weighted norms reuse the setup's eigenpairs."""
-    setup = _get_setup(kernel, m, n)
+    """A direct method's factorization of R~; the weighted norms reuse A's eigenpairs."""
     norm = METHODS[method][1]
-    decomp = None if norm == "l2" else setup.decomposition()
-    return DirectFactorization.build(setup.linmap, norm, setup.geom.rho, decomp)
+    decomp = None if norm == "l2" else _get_setup(kernel, m, n).decomposition()
+    _, reduced = _get_reduced(kernel, m, n)
+    return DirectFactorization.build(reduced.linmap, norm, reduced.rho, decomp)
 
 
 @lru_cache(maxsize=None)
 def _get_reduced(kernel, m, n):
-    """(Q, geometry of [R; 0]) for the setup's A = QR: the iterative rows' operator.
+    """(Q, geometry of R~) for the setup's A = QR: every bench row's operator.
 
     Golub-Kahan is invariant under an orthogonal change of data space, so a
-    run on [R; 0] with data [Q^T b; ||b - Q Q^T b||] has, in exact
-    arithmetic, A's iterates and residuals at O(n^2) per product. The
-    geometry keeps A's rho (R's column sums differ), so C^+ is A's: R^T R =
-    A^T A. For m < n, R is m x n and the appended residual is roundoff.
+    run on R~ = [R; 0] with data b~ = [Q^T b; ||b - Q Q^T b||] has, in exact
+    arithmetic, A's iterates at O(n^2) per product, and as ||R~ x - b~|| =
+    ||A x - b|| and R~^T R~ = A^T A, a ladder on it is A's. The geometry keeps
+    A's rho (R's column sums differ). Only for m > n is the residual row
+    kept: otherwise Q is square and that entry is roundoff.
     """
     setup = _get_setup(kernel, m, n)
     q, r = np.linalg.qr(setup.linmap.as_dense())
-    reduced = DenseMap(np.vstack((r, np.zeros((1, r.shape[1])))))
-    return q, RkhsGeometry(reduced, setup.geom.rho)
+    if m > n:
+        r = np.vstack((r, np.zeros((1, n))))
+    return q, RkhsGeometry(DenseMap(r), setup.geom.rho)
 
 
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
@@ -267,36 +270,25 @@ def run_method(method, linmap, geom, b, stop, factored=None, **kw):
 
 
 def run_bench_row(cfg, method, nsr, trial):
-    """Run one (method, nsr, trial) cell of cfg; returns the row dict, extras and solution."""
+    """Run one (method, nsr, trial) cell of cfg; returns its results and stopping row, and x."""
     seed = row_seed(cfg.seed_base, method, nsr, trial)
-    setup = _get_setup(cfg.kernel, cfg.m, cfg.n)
-    x_true = _get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth)
-    problem = add_noise(clean_problem(setup, x_true), nsr, seed)
+    op = (cfg.kernel, cfg.m, cfg.n)
+    x_true = _get_truth(*op, cfg.truth)
+    problem = add_noise(clean_problem(_get_setup(*op), x_true), nsr, seed)
     geom = problem.geom
-    iterative = method in ITERATIVE_METHODS
-    stop = (Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters)
-            if cfg.stop_rule == "dp" else LCurve(max_iters=cfg.max_iters))
-    # reduced or factored once per process, so a row times only its own solve
-    if iterative:
-        q, reduced = _get_reduced(cfg.kernel, cfg.m, cfg.n)
-        t0 = time.perf_counter()
-        qb = q.T @ problem.b
-        b = np.append(qb, np.linalg.norm(problem.b - q @ qb))
-        result = run_method(method, reduced.linmap, reduced, b, stop)
-    else:
-        factored = _get_factored(cfg.kernel, cfg.m, cfg.n, method)
-        t0 = time.perf_counter()
-        result = run_method(method, problem.linmap, geom, problem.b, stop, factored)
+    lcurve = cfg.stop_rule == "lcurve"
+    stop = (LCurve(max_iters=cfg.max_iters) if lcurve else
+            Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters))
+    # reduced and factored once per process, so a row times only its own solve
+    q, reduced = _get_reduced(*op)
+    factored = None if method in ITERATIVE_METHODS else _get_factored(*op, method)
+    t0 = time.perf_counter()
+    # b~, whose residual entry is kept only where R~ has its residual row (m > n)
+    qb = q.T @ problem.b
+    b = np.append(qb, np.linalg.norm(problem.b - q @ qb))[: reduced.linmap.rows]
+    result = run_method(method, reduced.linmap, reduced, b, stop, factored)
     elapsed = time.perf_counter() - t0
     x = result.x
-    extras = {}
-    if iterative:
-        k_dp = dp_stop(result.history[:, 0], problem.noise_norm, cfg.tau)
-        if cfg.stop_rule == "lcurve":
-            extras = {"k_lcurve": result.k_stop, "k_dp": k_dp,
-                      "weak_corner": int(result.weak_corner)}
-        else:
-            extras = {"k_lcurve": "", "k_dp": k_dp, "weak_corner": ""}
     err = l2rho_error(geom, x, x_true)
     truth_norm = geom.weighted_norm(x_true)
     res = problem.linmap.apply(x) - problem.b
@@ -311,8 +303,11 @@ def run_bench_row(cfg, method, nsr, trial):
         "wall_time_ms": f"{elapsed * 1e3:.3f}",
         "seed": seed,
         "converged": result.converged,
+        "k_lcurve": result.k_stop if lcurve else "",
+        "k_dp": dp_stop(result.history[:, 0], problem.noise_norm, cfg.tau),
+        "weak_corner": int(result.weak_corner) if lcurve else "",
     }
-    return row, extras, x
+    return row, x
 
 
 def _boxplot_row(values):
@@ -355,18 +350,15 @@ def cmd_fredholm_bench(args):
 
     out = cfg.output_dir
     write_config(cfg, os.path.join(out, "config_used.cfg"))
-    _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS,
-               ([row[c] for c in RESULT_COLUMNS] for row, _, _ in outcomes))
-    stop_columns = ("method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner")
-    _write_csv(os.path.join(out, "stopping.csv"), stop_columns,
-               ([{**row, **extras}[c] for c in stop_columns]
-                for row, extras, _ in outcomes if extras))  # iterative methods only
-    for row, _, x in outcomes:
+    for name, columns in (("results.csv", RESULT_COLUMNS), ("stopping.csv", STOP_COLUMNS)):
+        _write_csv(os.path.join(out, name), columns,
+                   ([row[c] for c in columns] for row, _ in outcomes))
+    for row, x in outcomes:
         name = f"{row['method']}_nsr{row['nsr']}_trial{row['trial']}.bin"
         write_array(os.path.join(sol_dir, name), x)
     stats = []
     for method, nsr in product(cfg.methods, (f"{v:g}" for v in cfg.nsr_ladder)):
-        vals = [float(row["l2rho_error"]) for row, _, _ in outcomes
+        vals = [float(row["l2rho_error"]) for row, _ in outcomes
                 if row["method"] == method and row["nsr"] == nsr]
         stats.append([method, nsr, *_boxplot_row(vals)])
     _write_csv(os.path.join(out, "stats.csv"),

@@ -45,7 +45,7 @@ TRIALS = 20
 
 
 def _run_ladder(kernel):
-    """20-trial noise ladder for both iterative solvers; returns rows+extras."""
+    """20-trial noise ladder for both iterative solvers; returns its rows and the time."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(kernel=kernel, m=500, n=100, truth="in-range", stop_rule="lcurve",
                            tau=1.01, max_iters=30, seed_base=1)
@@ -53,8 +53,7 @@ def _run_ladder(kernel):
     for method in ("iDARR", "IR-l2"):
         for nsr in NOISE_LADDER:
             for trial in range(TRIALS):
-                row, extras, _ = run_bench_row(cfg, method, nsr, trial)
-                rows.append((row, extras))
+                rows.append(run_bench_row(cfg, method, nsr, trial)[0])
     return rows, time.perf_counter() - t0
 
 
@@ -73,7 +72,7 @@ def _median_errors(rows, method):
     for nsr in NOISE_LADDER:
         errs = [
             float(row["l2rho_error"])
-            for row, _ in rows
+            for row in rows
             if row["method"] == method and float(row["nsr"]) == nsr
         ]
         assert len(errs) == TRIALS
@@ -208,8 +207,8 @@ def test_06_stopping_index_stability(record_acceptance, exp_ladder):
     iqrs = {}
     for nsr in NOISE_LADDER:
         ks = [
-            extras["k_lcurve"]
-            for row, extras in rows
+            row["k_lcurve"]
+            for row in rows
             if row["method"] == "iDARR" and float(row["nsr"]) == nsr
         ]
         assert len(ks) == TRIALS
@@ -233,7 +232,7 @@ def test_07_poly_benchmark_low_noise(record_acceptance, poly_ladder):
     adaptive = _median_errors(rows, "iDARR")
     plain = _median_errors(rows, "IR-l2")
     low_noise_ok = all(adaptive[nsr] <= plain[nsr] for nsr in (0.25, 0.125, 0.0625))
-    k_max = max(row["k_stop"] for row, _ in rows)
+    k_max = max(row["k_stop"] for row in rows)
 
     ok = low_noise_ok and k_max <= 30
     record_acceptance(

@@ -221,10 +221,21 @@ class TestBenchCommand:
             "relative_error", "loss", "wall_time_ms", "seed", "converged",
         }
         stopping = read_csv(out / "stopping.csv")
-        assert len(stopping) == 2 * 2 * 2  # iterative methods only
+        assert len(stopping) == len(rows)  # a line per row, whatever the method's family
         assert set(stopping[0]) == {
             "method", "nsr", "trial", "k_lcurve", "k_dp", "weak_corner",
         }
+        # a direct row's line reads its ladder as an iterative row's reads its run
+        row, line = next((r, s) for r, s in zip(rows, stopping) if r["method"] == "DARTR")
+        assert line["k_lcurve"] == row["k_stop"]
+        setup = make_fredholm("exp", 80, 30)
+        problem = add_noise(clean_problem(setup, true_solution(setup, "in-range")),
+                            float(row["nsr"]), int(row["seed"]))
+        q, reduced = cli._get_reduced("exp", 80, 30)
+        result = cli.run_method("DARTR", reduced.linmap, reduced, reduced_data(q, problem.b),
+                                LCurve(max_iters=15), cli._get_factored("exp", 80, 30, "DARTR"))
+        k_dp = dp_stop(result.history[:, 0], problem.noise_norm, Discrepancy.tau)
+        assert k_dp is not None and line["k_dp"] == str(k_dp)
         stats = read_csv(out / "stats.csv")
         assert len(stats) == 3 * 2
         assert {r["method"] for r in stats} == {"iDARR", "IR-l2", "DARTR"}
@@ -351,7 +362,11 @@ CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name
 
 @pytest.fixture()
 def cold_bench_caches():
-    """Empty the per-process setup, truth, factorization and reduction caches before and after."""
+    """Empty the per-process caches before and after.
+
+    They hold the setup, the truth, the reduction to R~ and each direct
+    method's factorization of R~.
+    """
     caches = (cli._get_setup, cli._get_truth, cli._get_factored, cli._get_reduced)
     for cache in caches:
         cache.cache_clear()
@@ -390,31 +405,53 @@ def qr_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=os.path.basename)
-def test_bench_factorization_matches_cold_solves(config, cold_bench_caches):
+def test_bench_factorization_is_the_reduced_operators(config, cold_bench_caches):
+    # The weighted norms factor R~ over A's eigenpairs (R~^T R~ = A^T A), so
+    # their ladders are the factorization of A's; l2 factors R~ itself. A
+    # ladder on (R~, b~) is the cold one-shot on (A, b) up to roundoff: worst
+    # measured at seed_base 1, all 20 trials, x 1.9e-10 and the history to
+    # k_stop 5.1e-11 (l2-direct, poly).
     cfg = load_config(config)
     setup = cli._get_setup(cfg.kernel, cfg.m, cfg.n)
+    q, reduced = cli._get_reduced(cfg.kernel, cfg.m, cfg.n)
     base = clean_problem(setup, cli._get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth))
     for method in ("DARTR", "L2-direct", "l2-direct"):
+        norm = cli.METHODS[method][1]
         factored = cli._get_factored(cfg.kernel, cfg.m, cfg.n, method)
+        if norm != "l2":
+            decomp = setup.decomposition()
+            want = rkhs.DirectFactorization.build(reduced.linmap, norm, setup.geom.rho, decomp)
+            for name in ("a", "t", "s2", "lambdas"):
+                assert getattr(factored, name).tobytes() == getattr(want, name).tobytes(), name
+            unreduced = rkhs.DirectFactorization.build(setup.linmap, norm, setup.geom.rho, decomp)
+            assert factored.lambdas.tobytes() == unreduced.lambdas.tobytes()
         for nsr in cfg.nsr_ladder:
             b = add_noise(base, nsr, row_seed(cfg.seed_base, method, nsr, 1)).b
-            warm = cli.run_method(method, setup.linmap, setup.geom, b, LCurve(), factored)
+            warm = cli.run_method(method, reduced.linmap, reduced, reduced_data(q, b), LCurve(),
+                                  factored)
+            if norm == "l2":
+                cold = tikhonov_direct(reduced.linmap, reduced_data(q, b))
+                for name in ("x", "lambdas", "history", "iterates"):
+                    assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
             cold = cli.run_method(method, setup.linmap, setup.geom, b, LCurve())
-            for name in ("x", "lambdas", "history", "iterates"):
-                assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
             assert warm.k_stop == cold.k_stop
+            assert np.linalg.norm(warm.x - cold.x) <= 1e-9 * np.linalg.norm(cold.x)
+            np.testing.assert_allclose(warm.history[:cold.k_stop], cold.history[:cold.k_stop],
+                                       rtol=1e-9)
 
 
 def test_dp_bench_row_takes_the_direct_discrepancy_point(cold_bench_caches):
     cfg = ExperimentConfig(kernel="exp", m=80, n=30, truth="in-range", stop_rule="dp")
-    row, extras, x = cli.run_bench_row(cfg, "DARTR", 0.25, 1)
+    row, x = cli.run_bench_row(cfg, "DARTR", 0.25, 1)
     setup = cli._get_setup("exp", 80, 30)
     problem = add_noise(clean_problem(setup, cli._get_truth("exp", 80, 30, "in-range")),
                         0.25, row["seed"])
-    ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(problem.b)
+    q, _ = cli._get_reduced("exp", 80, 30)
+    ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(reduced_data(q, problem.b))
     k_dp = dp_stop(ladder.history[:, 0], problem.noise_norm, cfg.tau)
     assert k_dp is not None and k_dp != ladder.k_stop
-    assert row["k_stop"] == k_dp and extras == {}
+    assert row["k_stop"] == row["k_dp"] == k_dp
+    assert row["k_lcurve"] == row["weak_corner"] == ""  # no corner is picked under dp
     assert x.tobytes() == ladder.iterates[k_dp - 1].tobytes()
 
 
@@ -433,12 +470,12 @@ def test_discrepancy_budget_is_the_solve_commands(exp_setup, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["DARTR", "L2-direct", "l2-direct"])
-def test_bench_factorization_shares_the_setup_operator(method, cold_bench_caches):
-    # the factorization reads the operator through as_dense(): a read-only
-    # view of the setup's entries, not a copy
-    entries = cli._get_setup("poly", 60, 20).linmap.entries
+def test_bench_factorization_holds_the_reduced_operator(method, cold_bench_caches):
+    # the factorization reads R~ through as_dense(): a read-only view of the
+    # reduced map's entries, not a copy, and A is not held a second time
+    entries = cli._get_reduced("poly", 60, 20)[1].linmap.entries
     a = cli._get_factored("poly", 60, 20, method).a
-    assert np.shares_memory(a, entries) and a.shape == entries.shape
+    assert np.shares_memory(a, entries) and a.shape == entries.shape == (21, 20)
     assert not a.flags.writeable
 
 
@@ -450,17 +487,21 @@ def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
                      "--methods", "iDARR,IR-l2,IR-L2,DARTR,L2-direct",
                      "--output-dir", str(tmp_path / str(i))]) == 0
     assert len(eig_calls) == 2  # exp and poly, each under rho
-    assert qr_calls == [(500, 100)] * 2  # one reduction per operator, for every iterative row
+    assert qr_calls == [(500, 100)] * 2  # one reduction per operator, for every row
     assert main(["fredholm-bench", "--config", CONFIGS[-1], "--trials", "2",
                  "--methods", "l2-direct", "--output-dir", str(tmp_path / "unit")]) == 0
-    assert len(eig_calls) == 3  # poly under unit weights
+    assert len(eig_calls) == 3  # poly's R~ under unit weights
     assert len(qr_calls) == 2
 
 
 def reduced_data(q, b):
-    """[Q^T b; ||b - Q Q^T b||]: the data of a run on [R; 0], with ||b|| and every residual kept."""
+    """The data of a solve on R~: Q^T b, and ||b - Q Q^T b|| when Q is tall.
+
+    With the residual entry, ||b|| and every residual are kept; a square Q
+    has none.
+    """
     qb = q.T @ b
-    return np.append(qb, np.linalg.norm(b - q @ qb))
+    return np.append(qb, np.linalg.norm(b - q @ qb)) if q.shape[0] > q.shape[1] else qb
 
 
 # (truth, nsr, seed) draws on make_fredholm(kernel, 200, 40)
@@ -513,27 +554,37 @@ def test_reduced_reorthogonalized_runs_match_the_operators(kernel, cold_bench_ca
 
 
 @pytest.mark.parametrize("m, n", [(80, 30), (40, 40), (20, 60)])
-def test_iterative_rows_solve_on_the_reduced_operator(m, n, cold_bench_caches):
-    # tall, square and wide operators take one path; for m <= n the
-    # reduction drops nothing, and the appended residual is at roundoff
+def test_every_bench_row_solves_on_the_reduced_operator(m, n, cold_bench_caches):
+    # Tall, square and wide operators take one path. R~ keeps a residual row
+    # only for m > n: a wide R~ with an (m + 1)-th row would move the l2 and
+    # L2 ladders' floor, lam[min(rows, n) - 1]. A direct row is the cold
+    # one-shot on (A, b) up to roundoff: worst measured over 3 trials at 5
+    # noise levels, x 5.2e-7 and the history to k_stop 2.1e-8 (l2-direct,
+    # 20 x 60, whose A^T A has 40 zero eigenvalues).
     cfg = ExperimentConfig(kernel="poly", m=m, n=n, truth="out-of-range")
     setup = cli._get_setup("poly", m, n)
     q, reduced = cli._get_reduced("poly", m, n)
-    assert q.shape == (m, min(m, n)) and reduced.linmap.entries.shape == (min(m, n) + 1, n)
-    # A's rho, so C^+ = B^-1 R^T R B^-1 is A's metric
+    assert q.shape == (m, min(m, n))
+    assert reduced.linmap.entries.shape == (min(m, n) + (m > n), n)
+    # A's rho, so C^+ = B^-1 R~^T R~ B^-1 is A's metric
     assert reduced.rho.tobytes() == setup.geom.rho.tobytes()
     p = np.random.default_rng(5).standard_normal(n)
     want = setup.geom.apply_crkhs_pinv(p)
     assert np.linalg.norm(reduced.apply_crkhs_pinv(p) - want) <= 1e-12 * np.linalg.norm(want)
     base = clean_problem(setup, cli._get_truth("poly", m, n, cfg.truth))
-    for method in ITERATIVE_METHODS:
-        row, _, x = cli.run_bench_row(cfg, method, 0.25, 1)
+    for method in cli.ALL_METHODS:
+        row, x = cli.run_bench_row(cfg, method, 0.25, 1)
         b = add_noise(base, 0.25, row["seed"]).b
         res = setup.linmap.entries @ x - b
         assert np.all(np.isfinite(x))
         assert float(row["loss"]) == pytest.approx(float(res @ res), rel=1e-12)
-        if m <= n:
-            assert reduced_data(q, b)[-1] <= 1e-12 * np.linalg.norm(b)
+        if method in ITERATIVE_METHODS:
+            continue
+        cold = cli.run_method(method, setup.linmap, setup.geom, b, LCurve())
+        assert row["k_stop"] == cold.k_stop
+        lambdas = cli._get_factored("poly", m, n, method).lambdas
+        np.testing.assert_allclose(lambdas, cold.lambdas, rtol=1e-11)
+        assert np.linalg.norm(x - cold.x) <= 1e-6 * np.linalg.norm(cold.x)
 
 
 @pytest.mark.parametrize("raw, cores, want", [
