@@ -57,6 +57,22 @@ def _finite(value, name):
     return value
 
 
+def check_data(b, rows):
+    """The data check of every solve: b as a float64 vector of length rows, and its norm.
+
+    Raises, in this order, DimensionError for any other shape, NumericalBreakdownError
+    for a norm that is not finite (NaN, inf or overflow), TrivialDataError for zero data.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (rows,):
+        raise DimensionError(f"data of shape {b.shape} does not match an operator with {rows} rows")
+    with np.errstate(over="ignore"):  # an overflowing norm is raised as a breakdown below
+        norm = _finite(float(np.linalg.norm(b)), "data norm")
+    if norm == 0.0:
+        raise TrivialDataError("data vector is identically zero")
+    return b, norm
+
+
 @dataclass
 class BidiagStep:
     """One advance of the process: scalars and (unless terminal) new directions.
@@ -100,8 +116,8 @@ class BidiagProcess:
     linmap : LinearMap
         The forward operator.
     b : array
-        Data vector; must be 1-d (else DimensionError), nonzero and finite.
-        A non-finite data norm or coupling raises NumericalBreakdownError.
+        Data vector, checked by check_data against the operator's rows. A
+        non-finite coupling raises NumericalBreakdownError.
     pinv_apply : callable or None
         Action of K^+ on a vector, returned as a new array (the process
         may update it in place); None means the identity metric.
@@ -113,17 +129,11 @@ class BidiagProcess:
     """
 
     def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=False):
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim != 1:  # the operator would take an (m, k) b as a block
-            raise DimensionError(f"data must be a vector, got shape {b.shape}")
+        b, beta1 = check_data(b, linmap.rows)
         self.linmap = linmap
         self.pinv_apply = pinv_apply if pinv_apply is not None else np.copy
         self.reorthogonalize = bool(reorthogonalize)
         self.keep_vectors = bool(keep_vectors or reorthogonalize)
-
-        beta1 = _finite(float(np.linalg.norm(b)), "data norm beta_1")
-        if beta1 == 0.0:
-            raise TrivialDataError("data vector is identically zero")
         self.beta1 = beta1
         self.reason = None
         self.alphas = []

@@ -112,15 +112,20 @@ def _validate_config(cfg):
         raise UsageError(f"methods must not repeat, got {list(cfg.methods)}")
     if cfg.stop_rule not in ("lcurve", "dp"):
         raise UsageError(f"stop_rule must be lcurve or dp, got {cfg.stop_rule!r}")
-    try:  # the rules own the bounds on tau and max_iters; dp_stop reads tau under lcurve too
-        Discrepancy(0.0, cfg.tau, cfg.max_iters)
-        if cfg.stop_rule == "lcurve":
-            LCurve(max_iters=cfg.max_iters)
+    try:  # the rules own the bounds on tau and max_iters; k_dp reads tau under lcurve too
+        Discrepancy(0.0, cfg.tau)
+        _bench_rule(cfg, 0.0)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if cfg.seed_base < 0:
         raise UsageError(f"seed_base must be nonnegative, got {cfg.seed_base}")
     return cfg
+
+
+def _bench_rule(cfg, noise_norm):
+    """The stopping rule of cfg's rows, for data whose noise has norm noise_norm."""
+    return (LCurve(max_iters=cfg.max_iters) if cfg.stop_rule == "lcurve" else
+            Discrepancy(noise_norm=noise_norm, tau=cfg.tau, max_iters=cfg.max_iters))
 
 
 def _parse_field(f, text):
@@ -277,8 +282,7 @@ def run_bench_row(cfg, method, nsr, trial):
     problem = add_noise(clean_problem(_get_setup(*op), x_true), nsr, seed)
     geom = problem.geom
     lcurve = cfg.stop_rule == "lcurve"
-    stop = (LCurve(max_iters=cfg.max_iters) if lcurve else
-            Discrepancy(noise_norm=problem.noise_norm, tau=cfg.tau, max_iters=cfg.max_iters))
+    stop = _bench_rule(cfg, problem.noise_norm)
     # reduced and factored once per process, so a row times only its own solve
     q, reduced = _get_reduced(*op)
     factored = None if method in ITERATIVE_METHODS else _get_factored(*op, method)

@@ -38,7 +38,7 @@ class TrivialDataError(IdarrError):
 
 
 class NumericalBreakdownError(IdarrError):
-    """A quantity that must be nonnegative came out significantly negative."""
+    """A quantity came out non-finite, or negative beyond roundoff where it must not be."""
 
 
 class StateError(IdarrError):

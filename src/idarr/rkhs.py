@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateColumnError, DimensionError, GeometryError,
-                     NumericalBreakdownError, TrivialDataError)
+from .bidiag import check_data
+from .errors import DegenerateColumnError, DimensionError, GeometryError, TrivialDataError
 from .linops import LinearMap
 from .solver import LCurve, SolveResult
 
@@ -154,9 +154,9 @@ class DirectFactorization:
     def build(cls, linmap, norm, rho=None, decomp=None):
         """Factor linmap for the penalty norm "rkhs", "L2" or "l2".
 
-        The weights are rho (None for 1) under "rkhs" and "L2", and 1 under
-        "l2". One eigendecomposition of A^T A runs under them, or none when
-        decomp, one under the same weights, is given.
+        The weights are rho under "rkhs" and "L2", and 1 under "l2", which
+        ignores rho. One eigendecomposition of A^T A runs under them, or none
+        when decomp, one under the same weights, is given.
 
         "rkhs" (DARTR) takes T = C_* = V_r Lam_r^(1/2) over the numerical
         rank r. Since V^T A^T A V = Lam, s2 = Lam_r^2 exactly: each strength
@@ -169,7 +169,7 @@ class DirectFactorization:
             raise ValueError(f"norm must be rkhs, L2 or l2, got {norm!r}")
         a = linmap.as_dense()
         if decomp is None:
-            weights = np.ones(a.shape[1]) if norm == "l2" or rho is None else rho
+            weights = np.ones(a.shape[1]) if norm == "l2" else rho
             decomp = generalized_eig(a, weights)
         if decomp.rank == 0:
             raise TrivialDataError("operator has numerical rank zero")
@@ -188,34 +188,16 @@ class DirectFactorization:
         as a (ladder x rank) array. The residual is formed explicitly from
         the path, which counts the part of b outside the range of A; A T is
         never formed. stop selects on the ladder's norms, strongest first.
-        b must be a finite, nonzero vector of length m.
+        b is checked by check_data against the operator's rows.
         """
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.a.shape[0],):
-            raise DimensionError(f"data of shape {b.shape} does not match {self.a.shape} operator")
-        if not np.all(np.isfinite(b)):
-            raise NumericalBreakdownError("data vector has non-finite entries")
-        data_norm = float(np.linalg.norm(b))
-        if data_norm == 0:
-            raise TrivialDataError("data vector is identically zero")
+        b, data_norm = check_data(b, self.a.shape[0])
         a, t, lambdas = self.a, self.t, self.lambdas
         y = (t.T @ (a.T @ b)) / (self.s2 + lambdas[:, None])
         path = y @ t.T
         res = path @ a.T - b
         history = np.sqrt(np.column_stack((np.einsum("ij,ij->i", res, res),
                                            np.einsum("ij,ij->i", y, y))))
-        k_stop, converged, weak = stop.select(history[:, 0], history[:, 1], False, data_norm)
-        return SolveResult(
-            x=path[k_stop - 1].copy(),
-            k_stop=int(k_stop),
-            history=history,
-            iterates=path,
-            reason=None,
-            converged=converged,
-            weak_corner=weak,
-            data_norm=data_norm,
-            lambdas=lambdas,
-        )
+        return SolveResult.from_path(stop, history, path, path[-1], None, data_norm, lambdas)
 
 
 def dartr_solve(linmap, rho, b, stop=LCurve()):

@@ -282,7 +282,7 @@ class SolveResult:
     exhaustion step, are read from it. converged is False when the rule was
     never satisfied within the iteration budget; weak_corner marks a corner
     chosen from near-collinear history. data_norm is ||b||, the residual of
-    the zero iterate (k_stop 0).
+    the zero iterate (k_stop 0). Every solve builds its result with from_path.
     """
 
     x: np.ndarray
@@ -294,6 +294,22 @@ class SolveResult:
     weak_corner: bool = False
     data_norm: float | None = None
     lambdas: np.ndarray | None = None
+
+    @classmethod
+    def from_path(cls, stop, history, iterates, last, reason, data_norm, lambdas=None):
+        """The result of stop on a finished path: select k_stop and copy its point as x.
+
+        history is the path's (K, 2) norms and iterates its points, or None
+        when they were not kept; last is point K (the zero vector for an
+        empty path), which stands in for point k_stop = K. The rule is told
+        the path terminated when reason is set.
+        """
+        k_stop, converged, weak = stop.select(history[:, 0], history[:, 1],
+                                              reason is not None, data_norm)
+        x = iterates[k_stop - 1] if k_stop < len(history) else last
+        return cls(x=x.copy(), k_stop=int(k_stop), history=history, iterates=iterates,
+                   reason=reason, converged=converged, weak_corner=weak,
+                   data_norm=data_norm, lambdas=lambdas)
 
     @property
     def terminated(self):
@@ -331,20 +347,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
         x = state.x
 
     history = np.array(history, dtype=np.float64).reshape(-1, 2)
-    k_stop, converged, weak = stop.select(history[:, 0], history[:, 1],
-                                          proc.terminated, proc.beta1)
-    if k_stop < len(history):
-        x = iterates[k_stop - 1]
-    return SolveResult(
-        x=x.copy(),
-        k_stop=k_stop,
-        history=history,
-        iterates=iterates,
-        reason=proc.reason,
-        converged=converged,
-        weak_corner=weak,
-        data_norm=proc.beta1,
-    )
+    return SolveResult.from_path(stop, history, iterates, x, proc.reason, proc.beta1)
 
 
 # -- public solver entry points ----------------------------------------------

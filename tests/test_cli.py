@@ -149,6 +149,19 @@ class TestSolveCommand:
         assert main(args) == 3
         assert out.read_bytes() == b"kept"  # and leaves an existing one as it was
 
+    @pytest.mark.parametrize("method", cli.ALL_METHODS)
+    def test_overflowing_data_is_numerical_failure(self, dense_instance, tmp_path, capsys,
+                                                   method):
+        # finite entries whose norm overflows: both families share one data check
+        desc, _, _, b = dense_instance
+        data = tmp_path / "huge.bin"
+        write_array(str(data), 1e160 * b)
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", str(data),
+                     "--method", method, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["iDARR", "DARTR"])
     @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
     def test_malformed_data_vector_is_io_error(self, dense_instance, tmp_path, method, bad):

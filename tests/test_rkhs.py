@@ -35,6 +35,8 @@ from idarr import (
     dartr_solve,
     generalized_eig,
     idarr_solve,
+    irL2_solve,
+    irl2_solve,
     l2rho_error,
     make_fredholm,
     make_geometry,
@@ -334,6 +336,12 @@ class TestDirectFactorization:
         assert np.shares_memory(fac.a, linmap.entries)
         assert not fac.a.flags.writeable
 
+    @pytest.mark.parametrize("norm", ["rkhs", "L2"])
+    def test_weighted_norms_take_weights(self, norm):
+        # only "l2" ignores rho; the weighted norms have no unit-weight default
+        with pytest.raises(GeometryError):
+            DirectFactorization.build(DenseMap(TOY_A), norm)
+
 
 class TestDartrSolve:
     def test_identity_system_recovers_data(self):
@@ -502,14 +510,21 @@ class TestDirectLadderReference:
 @pytest.mark.parametrize("solve", [
     lambda b: dartr_solve(DenseMap(TOY_A), TOY_RHO, b),
     lambda b: tikhonov_direct(DenseMap(TOY_A), b),
-], ids=["dartr", "tikhonov"])
+    lambda b: idarr_solve(RkhsGeometry(DenseMap(TOY_A), TOY_RHO), b, LCurve()),
+    lambda b: irl2_solve(DenseMap(TOY_A), b, LCurve()),
+    lambda b: irL2_solve(RkhsGeometry(DenseMap(TOY_A), TOY_RHO), b, LCurve()),
+], ids=["dartr", "tikhonov", "idarr", "irl2", "irL2"])
 @pytest.mark.parametrize("b, error", [
     ([1.0, np.nan], NumericalBreakdownError),
     ([np.inf, 0.0], NumericalBreakdownError),
+    ([1e200, 1e200], NumericalBreakdownError),  # finite entries, overflowing norm
     ([[1.0, 0.0]], DimensionError),
     ([1.0, 0.0, 0.0], DimensionError),
-], ids=["nan", "inf", "2-d", "wrong-length"])
+    ([0.0, 0.0], TrivialDataError),
+    ([0.0, 0.0, 0.0], DimensionError),  # the length is checked before the norm
+], ids=["nan", "inf", "overflow", "2-d", "wrong-length", "zero", "zero-wrong-length"])
 def test_bad_data_rejected(solve, b, error):
+    # runs and ladders share one data check
     with pytest.raises(error):
         solve(np.array(b))
 
