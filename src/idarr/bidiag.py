@@ -123,7 +123,9 @@ class BidiagProcess:
         may update it in place); None means the identity metric.
     reorthogonalize : bool
         Re-project each new direction against all previous ones (block
-        classical Gram-Schmidt, twice). Implies keeping the full history.
+        classical Gram-Schmidt, twice). Implies keeping the full history,
+        and also keeps the rows A^T u_i, so the coefficients' share is
+        taken out of A^T r without another product.
     keep_vectors : bool
         Retain all generated vectors; reorthogonalize overrides False.
     """
@@ -140,13 +142,14 @@ class BidiagProcess:
         self.betas = [beta1]
         first_rows = 8 if self.keep_vectors else 1
         self._U, self._Z, self._Zbar = _Rows(first_rows), _Rows(first_rows), _Rows(first_rows)
+        self._ATu = _Rows(first_rows)  # rows A^T u_i, kept to reorthogonalize A^T r
         self.u = np.divide(b, beta1, out=self._U.next_row(b.shape))
         self.z = None
         self.zbar = None
         # only an exactly zero first pairing means the data carries no
         # component in the explorable range
         self._tol = 0.0
-        self._extend(linmap.apply_adjoint(self.u))
+        self._extend(self._keep_atu(linmap.apply_adjoint(self.u)))
         if not self.terminated:
             # roundoff floor for declaring a later coupling zero
             self._tol = max(linmap.rows, linmap.cols) * _EPS * max(self.alphas[0], beta1)
@@ -185,6 +188,11 @@ class BidiagProcess:
             sp = 0.0
         return sp
 
+    def _keep_atu(self, atu):
+        if self.reorthogonalize:
+            self._ATu.next_row(atu.shape)[:] = atu
+        return atu
+
     def _extend(self, p):
         """Turn p = A^T u - beta zbar into the next direction, unless alpha vanishes."""
         s = self.pinv_apply(p)
@@ -194,7 +202,7 @@ class BidiagProcess:
                 c = zbar @ s
                 s -= c @ z
                 p -= c @ zbar
-        alpha = float(np.sqrt(self._checked_pairing(s, p, self._tol)))
+        alpha = math.sqrt(self._checked_pairing(s, p, self._tol))
         if alpha <= self._tol:
             self.reason = "alpha"
             return
@@ -209,28 +217,34 @@ class BidiagProcess:
     def advance(self):
         """Produce couplings (alpha_{i+1}, beta_{i+1}) and the next directions.
 
+        One apply_residual gives r = A z - alpha u and A^T r, as in LSQR, so
+        A^T u = A^T r / beta needs no second product: a step reads a dense A
+        once here, and iDARR's metric application reads it once more.
+
         Returns a BidiagStep; when the process exhausts the subspace the
         step carries its reason (and the closing beta if the data-space
         direction was still valid) and the state freezes.
         """
         if self.terminated:
             raise StateError("process already terminated")
-        r = self.linmap.apply(self.z) - self.alphas[-1] * self.u
+        r, atr = self.linmap.apply_residual(self.z, self.alphas[-1] * self.u)
         if self.reorthogonalize:
-            u = self.U
+            u, atu = self.U, self._ATu.filled()
             for _ in range(2):
-                r -= (u @ r) @ u
-        beta = _finite(float(np.linalg.norm(r)), "coupling beta")
+                c = u @ r
+                r -= c @ u
+                atr -= c @ atu
+        beta = _finite(math.sqrt(float(r @ r)), "coupling beta")
         if beta <= self._tol:
             self.reason = "beta"
             self.betas.append(0.0)
             return BidiagStep(0.0, 0.0, None, None, "beta")
-        if self.keep_vectors:
-            self.u = np.divide(r, beta, out=self._U.next_row(r.shape))
-        else:
-            self.u = r / beta
+        self.u = np.divide(r, beta, out=self._U.next_row(r.shape) if self.keep_vectors else r)
         self.betas.append(beta)
-        self._extend(self.linmap.apply_adjoint(self.u) - beta * self.zbar)
+        atr /= beta  # now A^T u
+        self._keep_atu(atr)
+        atr -= beta * self.zbar
+        self._extend(atr)
         if self.terminated:
             return BidiagStep(0.0, beta, None, None, self.reason)
         return BidiagStep(self.alphas[-1], beta, self.z, self.zbar)

@@ -3,9 +3,10 @@
 A LinearMap exposes a forward action and its adjoint on vectors and blocks.
 Concrete maps cover dense matrices, diagonal scalings, integral-equation
 discretizations, and spatially invariant image blur. All solvers in this
-package touch operators only through apply, apply_adjoint and apply_normal,
-whose default is the adjoint of the forward action, so any map that
-implements the first two is usable matrix-free.
+package touch operators only through apply, apply_adjoint, apply_normal
+(A^T A v) and apply_residual (r = A v - w and A^T r), whose defaults are
+built from the first two, so any map that implements those is usable
+matrix-free. DenseMap runs the last two as one pass over blocks of rows.
 """
 
 from abc import ABC, abstractmethod
@@ -20,7 +21,8 @@ class LinearMap(ABC):
     """Linear operator from R^cols to R^rows with an explicit adjoint.
 
     Subclasses implement ``_apply`` and ``_apply_adjoint`` for a vector ``(n,)``
-    and a block ``(n, k)`` alike; the wrappers check shapes and return float64.
+    and a block ``(n, k)`` alike, each returning a new array; the wrappers
+    check shapes and return float64.
     """
 
     def __init__(self, rows, cols):
@@ -45,6 +47,25 @@ class LinearMap(ABC):
     def apply_normal(self, v):
         """A^T (A v) for a vector (n,) or a block (n, k): the adjoint of the forward action."""
         return self.apply_adjoint(self.apply(v))
+
+    def apply_residual(self, v, w):
+        """(r, A^T r) with r = A v - w, for a vector v (n,) or a block (n, k).
+
+        w has the shape of A v. By default this is apply, the subtraction,
+        then apply_adjoint of r. Both results are new arrays; a caller may
+        update them in place.
+        """
+        v = self._check_vec(v, self.cols, "apply_residual")
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.rows, *v.shape[1:]):
+            raise DimensionError(f"{type(self).__name__}.apply_residual expects w of shape "
+                                 f"{(self.rows, *v.shape[1:])}, got {w.shape}")
+        return self._apply_residual(v, w)
+
+    def _apply_residual(self, v, w):
+        r = self.apply(v)
+        r -= w
+        return r, self.apply_adjoint(r)
 
     @abstractmethod
     def _apply(self, v):
@@ -81,7 +102,7 @@ class LinearMap(ABC):
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
-# bytes of A per row block of DenseMap.apply_normal; of 256 KiB to 2 MiB,
+# bytes of A per row block of DenseMap's fused products; of 256 KiB to 2 MiB,
 # 512 KiB and 1 MiB were fastest on a core with 2 MiB of L2
 NORMAL_BLOCK_BYTES = 1 << 20
 
@@ -103,20 +124,35 @@ class DenseMap(LinearMap):
         return self.entries.T @ w
 
     def apply_normal(self, v):
-        """A^T (A v), reading each block of rows of A once, while it is in cache.
+        """A^T (A v), reading each block of rows of A once: the row pass with no shift."""
+        return self._row_pass(self._check_vec(v, self.cols, "apply_normal"), None)[1]
 
-        The row blocks' products a_i^T (a_i v) are summed in order, so a matrix
-        that fits one block of NORMAL_BLOCK_BYTES gives bitwise
-        ``apply_adjoint(apply(v))``; more blocks agree with it up to the
-        rounding of the sum.
+    def _row_pass(self, v, w):
+        """(r, A^T r) with r = A v - w (A v when w is None) in one read of A.
+
+        Each row block a_i of NORMAL_BLOCK_BYTES forms r_i = a_i v - w_i and
+        adds a_i^T r_i while it is in cache. The blocks' products are summed
+        in order, so a matrix that fits one block gives bitwise the two
+        products ``apply`` and ``apply_adjoint``; more blocks agree with them
+        up to the rounding of the sum.
         """
-        v = self._check_vec(v, self.cols, "apply_normal")
         a, step = self.entries, max(1, NORMAL_BLOCK_BYTES // (8 * self.cols))
-        out = a[:step].T @ (a[:step] @ v)
-        for i in range(step, self.rows, step):
+        if step >= self.rows:  # one block, without the loop's bookkeeping
+            r = a @ v
+            if w is not None:
+                r -= w
+            return r, a.T @ r
+        parts, out = [], None
+        for i in range(0, self.rows, step):
             block = a[i:i + step]
-            out += block.T @ (block @ v)
-        return out
+            r = block @ v
+            if w is not None:
+                r -= w[i:i + step]
+            out = block.T @ r if out is None else np.add(out, block.T @ r, out=out)
+            parts.append(r)
+        return np.concatenate(parts), out
+
+    _apply_residual = _row_pass
 
     def column_abs_sums(self):
         # bitwise np.abs(entries).sum(axis=0): NumPy sums contiguous columns pairwise, else by rows

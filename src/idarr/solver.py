@@ -10,6 +10,7 @@ crossing; running past the corner lets the iterates drift toward the noisy
 terminal solution, which is exactly what the rules are there to prevent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,7 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
         while state.steps < stop.budget:
             step = proc.advance()
             residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
-            history.append((residual, np.sqrt(norm_sq)))
+            history.append((residual, math.sqrt(norm_sq)))
             if store_iterates:
                 iterates.append(state.x.copy())
             if step.terminated or stop.reached(residual):

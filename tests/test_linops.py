@@ -510,6 +510,88 @@ class TestNormalProduct:
         assert np.all(np.abs(lm.apply_normal(v) - lm.apply_adjoint(lm.apply(v))) <= 1e-13 * scale)
 
 
+def residual_operands(lm, k, rng):
+    """(v, w) for apply_residual: a vector (k None) or a block of k columns."""
+    tail = () if k is None else (k,)
+    return rng.standard_normal((lm.cols, *tail)), rng.standard_normal((lm.rows, *tail))
+
+
+class TestResidualProduct:
+    """apply_residual is (r, A^T r) with r = A v - w: the two products by
+    default, one pass over a dense A."""
+
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "dense"])
+    def test_default_is_the_two_products_bitwise(self, name, k, rng):
+        lm = BLOCK_MAPS[name](rng)
+        assert type(lm)._apply_residual is LinearMap._apply_residual
+        v, w = residual_operands(lm, k, rng)
+        r, atr = lm.apply_residual(v, w)
+        np.testing.assert_array_equal(r, lm.apply(v) - w)
+        np.testing.assert_array_equal(atr, lm.apply_adjoint(lm.apply(v) - w))
+
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_in_one_block_is_the_two_products_bitwise(self, order, k, rng):
+        lm = DenseMap(np.asarray(rng.standard_normal((70, 50)), order=order))
+        assert 8 * lm.rows * lm.cols <= linops.NORMAL_BLOCK_BYTES
+        v, w = residual_operands(lm, k, rng)
+        r, atr = lm.apply_residual(v, w)
+        np.testing.assert_array_equal(r, lm.entries @ v - w)
+        np.testing.assert_array_equal(atr, lm.entries.T @ (lm.entries @ v - w))
+
+    @pytest.mark.parametrize("k", [None, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape, rows_per_block", [
+        ((70, 50), 16),    # four full blocks and a partial one of 6 rows
+        ((70, 50), 1),     # one row per block
+        ((3000, 200), None),  # the module's own budget: 655 rows per block
+    ])
+    def test_dense_across_blocks_matches_the_two_products(self, shape, rows_per_block, order, k,
+                                                          rng, monkeypatch):
+        if rows_per_block is not None:
+            monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * shape[1] * rows_per_block)
+        lm = DenseMap(np.asarray(rng.standard_normal(shape), order=order))
+        assert 8 * lm.rows * lm.cols > linops.NORMAL_BLOCK_BYTES
+        v, w = residual_operands(lm, k, rng)
+        r, atr = lm.apply_residual(v, w)
+        want = lm.entries @ v - w
+        # rounding of a reordered sum: 1e-13 of the summed magnitudes, entry by entry
+        r_scale = np.abs(lm.entries) @ np.abs(v) + np.abs(w)
+        assert np.all(np.abs(r - want) <= 1e-13 * r_scale)
+        scale = np.abs(lm.entries).T @ r_scale
+        assert np.all(np.abs(atr - lm.entries.T @ want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_results_are_new_arrays(self, name, rng):
+        lm = BLOCK_MAPS[name](rng)
+        v, w = residual_operands(lm, None, rng)
+        r, atr = lm.apply_residual(v, w)
+        assert r.dtype == atr.dtype == np.float64
+        assert r.shape == (lm.rows,) and atr.shape == (lm.cols,)
+        for out in (r, atr):
+            assert not any(np.shares_memory(out, x) for x in (v, w))
+        assert not np.shares_memory(r, atr)
+
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_empty_block_gives_empty_blocks(self, name, rng):
+        lm = BLOCK_MAPS[name](rng)
+        r, atr = lm.apply_residual(np.empty((lm.cols, 0)), np.empty((lm.rows, 0)))
+        assert r.shape == (lm.rows, 0) and atr.shape == (lm.cols, 0)
+
+    @pytest.mark.parametrize("name", list(BLOCK_MAPS))
+    def test_bad_operand_shapes_raise(self, name, rng):
+        lm = BLOCK_MAPS[name](rng)
+        m, n = lm.rows, lm.cols
+        for v_shape, w_shape in [
+            ((n + 1,), (m,)), ((n, 2, 1), (m, 2, 1)), ((), (m,)),  # v of the wrong shape
+            ((n,), (m + 1,)), ((n,), (m, 1)), ((n, 2), (m,)), ((n, 2), (m, 3)),  # w not A v's
+            ((n, 2), (2, m)),
+        ]:
+            with pytest.raises(DimensionError):
+                lm.apply_residual(np.ones(v_shape), np.ones(w_shape))
+
+
 class TestInheritedMethods:
     """as_dense and column_abs_sums of a map that defines only its products."""
 
