@@ -119,7 +119,6 @@ def _validate_config(cfg):
         raise UsageError(str(exc)) from None
     if cfg.seed_base < 0:
         raise UsageError(f"seed_base must be nonnegative, got {cfg.seed_base}")
-    return cfg
 
 
 def _bench_rule(cfg, noise_norm):
@@ -254,15 +253,22 @@ def _get_reduced(kernel, m, n):
     return q, RkhsGeometry(DenseMap(r), setup.geom.rho)
 
 
+def _check_keywords(method, kw):
+    """Raise UsageError when kw is not empty and method is direct: that family takes none."""
+    if kw and not METHODS[method][0]:
+        raise UsageError(f"{method} is a direct method; it takes no {', '.join(kw)}")
+
+
 def run_method(method, linmap, geom, b, stop, factored=None, **kw):
     """Solve for b with method, a key of METHODS: its family under its norm, at stop's point.
 
     geom is read only under the weighted norms ("L2", "rkhs"); the keywords
-    (reorthogonalize, store_iterates) only by the iterative family. A direct
-    method solves through factored, its DirectFactorization of linmap, when
-    one is given, and otherwise through its cold one-shot. Solvers are
-    looked up by module name at call time.
+    (reorthogonalize, store_iterates) only by the iterative family, so a
+    direct method given any fails. It solves through factored, its
+    DirectFactorization of linmap, when one is given, and otherwise through
+    its cold one-shot. Solvers are looked up by module name at call time.
     """
+    _check_keywords(method, kw)
     iterative, norm = METHODS[method]
     if iterative:
         solve = {"rkhs": idarr_solve, "L2": irL2_solve, "l2": irl2_solve}[norm]
@@ -517,6 +523,8 @@ def _read_data(path, rows):
 def cmd_solve(args):
     norm = METHODS[args.method][1]
     stop = _parse_stop_flag(args.stop, args.max_iters)
+    kw = {"reorthogonalize": True} if args.reorthogonalize else {}
+    _check_keywords(args.method, kw)
     fresh = not os.path.exists(args.out)
     open(args.out, "ab").close()  # an unwritable --out fails before any work
     try:
@@ -524,8 +532,7 @@ def cmd_solve(args):
         b = _read_data(args.data, linmap.rows)
         t0 = time.perf_counter()
         geom = None if norm == "l2" else RkhsGeometry(linmap, compute_exploration_weights(linmap))
-        result = run_method(args.method, linmap, geom, b, stop,
-                            reorthogonalize=args.reorthogonalize)
+        result = run_method(args.method, linmap, geom, b, stop, **kw)
         elapsed = time.perf_counter() - t0
         write_array(args.out, result.x)
     except BaseException:

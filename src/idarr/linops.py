@@ -3,10 +3,10 @@
 A LinearMap exposes a forward action and its adjoint on vectors and blocks.
 Concrete maps cover dense matrices, diagonal scalings, integral-equation
 discretizations, and spatially invariant image blur. All solvers in this
-package touch operators only through apply, apply_adjoint, apply_normal
-(A^T A v) and apply_residual (r = A v - w and A^T r), whose defaults are
+package touch operators only through apply, apply_adjoint and
+apply_residual (r = A v - w, or A v with no w, and A^T r), whose default is
 built from the first two, so any map that implements those is usable
-matrix-free. DenseMap runs the last two as one pass over blocks of rows.
+matrix-free. DenseMap runs apply_residual as one pass over blocks of rows.
 """
 
 from abc import ABC, abstractmethod
@@ -44,27 +44,25 @@ class LinearMap(ABC):
         w = self._check_vec(w, self.rows, "apply_adjoint")
         return np.asarray(self._apply_adjoint(w), dtype=np.float64)
 
-    def apply_normal(self, v):
-        """A^T (A v) for a vector (n,) or a block (n, k): the adjoint of the forward action."""
-        return self.apply_adjoint(self.apply(v))
-
-    def apply_residual(self, v, w):
+    def apply_residual(self, v, w=None):
         """(r, A^T r) with r = A v - w, for a vector v (n,) or a block (n, k).
 
-        w has the shape of A v. By default this is apply, the subtraction,
-        then apply_adjoint of r. Both results are new arrays; a caller may
-        update them in place.
+        w has the shape of A v; with no w, r is A v and A^T r is A^T A v.
+        By default this is apply, the subtraction, then apply_adjoint of r.
+        Both results are new arrays; a caller may update them in place.
         """
         v = self._check_vec(v, self.cols, "apply_residual")
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.rows, *v.shape[1:]):
-            raise DimensionError(f"{type(self).__name__}.apply_residual expects w of shape "
-                                 f"{(self.rows, *v.shape[1:])}, got {w.shape}")
+        if w is not None:
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape != (self.rows, *v.shape[1:]):
+                raise DimensionError(f"{type(self).__name__}.apply_residual expects w of shape "
+                                     f"{(self.rows, *v.shape[1:])}, got {w.shape}")
         return self._apply_residual(v, w)
 
     def _apply_residual(self, v, w):
         r = self.apply(v)
-        r -= w
+        if w is not None:
+            r -= w
         return r, self.apply_adjoint(r)
 
     @abstractmethod
@@ -102,7 +100,7 @@ class LinearMap(ABC):
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
-# bytes of A per row block of DenseMap's fused products; of 256 KiB to 2 MiB,
+# bytes of A per row block of DenseMap's fused product; of 256 KiB to 2 MiB,
 # 512 KiB and 1 MiB were fastest on a core with 2 MiB of L2
 NORMAL_BLOCK_BYTES = 1 << 20
 
@@ -123,11 +121,7 @@ class DenseMap(LinearMap):
     def _apply_adjoint(self, w):
         return self.entries.T @ w
 
-    def apply_normal(self, v):
-        """A^T (A v), reading each block of rows of A once: the row pass with no shift."""
-        return self._row_pass(self._check_vec(v, self.cols, "apply_normal"), None)[1]
-
-    def _row_pass(self, v, w):
+    def _apply_residual(self, v, w):
         """(r, A^T r) with r = A v - w (A v when w is None) in one read of A.
 
         Each row block a_i of NORMAL_BLOCK_BYTES forms r_i = a_i v - w_i and
@@ -151,8 +145,6 @@ class DenseMap(LinearMap):
             out = block.T @ r if out is None else np.add(out, block.T @ r, out=out)
             parts.append(r)
         return np.concatenate(parts), out
-
-    _apply_residual = _row_pass
 
     def column_abs_sums(self):
         # bitwise np.abs(entries).sum(axis=0): NumPy sums contiguous columns pairwise, else by rows

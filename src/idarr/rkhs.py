@@ -6,10 +6,10 @@ operator is the quadratic form of the pseudoinverse of
 
     C = B (A^T A)^+ B,      B = diag(rho),
 
-whose own pseudoinverse has the closed form C^+ = B^-1 A^T A B^-1 and is
-therefore applicable matrix-free. The dense routines here (generalized
-eigendecomposition, regularized direct solves) serve both as baselines and
-as oracles for the iterative solver.
+whose own pseudoinverse has the closed form C^+ = B^-1 A^T A B^-1, applied
+matrix-free as B^-1, apply_residual with no shift (A^T A v), then B^-1.
+The dense routines here (generalized eigendecomposition, regularized direct
+solves) serve both as baselines and as oracles for the iterative solver.
 """
 
 from dataclasses import dataclass
@@ -67,7 +67,7 @@ class RkhsGeometry:
 
     def apply_crkhs_pinv(self, p):
         """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix."""
-        return self.solve_b(self.linmap.apply_normal(self.solve_b(p)))
+        return self.solve_b(self.linmap.apply_residual(self.solve_b(p))[1])
 
     def weighted_norm(self, v):
         """Norm in L2(rho): sqrt(sum_i rho_i v_i^2)."""

@@ -206,18 +206,39 @@ class TestSolveCommand:
         printed = capsys.readouterr().out
         assert f"k_stop=0 residual={np.linalg.norm(b):.6g} converged=True" in printed
 
-    @pytest.mark.parametrize("method, code", [
-        ("IR-l2", 0), ("l2-direct", 0), ("iDARR", 3), ("DARTR", 3),
-    ])
-    def test_zero_column_needs_exploration_weights(self, tmp_path, rng, method, code):
-        # only the weighted methods need every column explored
+    @pytest.mark.parametrize("method", cli.ALL_METHODS)
+    def test_zero_column_needs_exploration_weights(self, tmp_path, rng, capsys, method):
+        # only the weighted methods need every column explored; the l2 ones solve
         a = rng.standard_normal((12, 6))
         a[:, 2] = 0.0
         desc = save_operator(DenseMap(a), str(tmp_path))
         data = tmp_path / "b.bin"
         write_array(str(data), rng.standard_normal(12))
-        assert main(["solve", "--operator", desc, "--data", str(data), "--method", method,
-                     "--stop", "fixed:3", "--out", str(tmp_path / "x.bin")]) == code
+        out = tmp_path / "x.bin"
+        code = main(["solve", "--operator", desc, "--data", str(data), "--method", method,
+                     "--stop", "fixed:3", "--out", str(out)])
+        if cli.METHODS[method][1] == "l2":
+            assert code == 0 and read_array(str(out)).shape == (6,)
+        else:
+            assert code == 3 and not out.exists()
+            assert capsys.readouterr().err == "error: column 2 has zero absolute sum\n"
+
+    @pytest.mark.parametrize("method", [m for m in cli.ALL_METHODS if m not in ITERATIVE_METHODS])
+    def test_reorthogonalize_on_a_direct_method_is_usage_error(self, dense_instance, tmp_path,
+                                                               capsys, method):
+        desc, data, _, _ = dense_instance
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", data, "--method", method,
+                     "--reorthogonalize", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    def test_run_method_rejects_keywords_on_a_direct_method(self, dense_instance):
+        _, _, a, b = dense_instance
+        linmap = DenseMap(a)
+        with pytest.raises(UsageError, match="reorthogonalize"):
+            cli.run_method("DARTR", linmap, rkhs.make_geometry(linmap), b, LCurve(),
+                           reorthogonalize=False)
 
 
 class TestBenchCommand:

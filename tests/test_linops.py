@@ -440,12 +440,16 @@ class TestBlockProducts:
         np.testing.assert_array_equal(getattr(lm, direction)(v), expected)
 
     @pytest.mark.parametrize("k", [1, 5, 64])
-    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint", "apply_normal"])
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint", "apply_residual"])
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
     def test_block_matches_stacked_columns(self, name, direction, k, rng):
         # gemm is not gemv, so only to rounding; nonnegative operands keep it entrywise
         lm = BLOCK_MAPS[name](rng)
-        product = getattr(lm, direction)
+
+        def product(v):  # apply_residual with no shift: A v stacked on A^T A v
+            out = getattr(lm, direction)(v)
+            return np.concatenate(out) if direction == "apply_residual" else out
+
         n = lm.rows if direction == "apply_adjoint" else lm.cols
         block = rng.uniform(0.0, 1.0, (n, k))
         stacked = np.column_stack([product(col) for col in block.T])
@@ -456,9 +460,8 @@ class TestBlockProducts:
         lm = BLOCK_MAPS[name](rng)
         assert lm.apply(np.empty((lm.cols, 0))).shape == (lm.rows, 0)
         assert lm.apply_adjoint(np.empty((lm.rows, 0))).shape == (lm.cols, 0)
-        assert lm.apply_normal(np.empty((lm.cols, 0))).shape == (lm.cols, 0)
 
-    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint", "apply_normal"])
+    @pytest.mark.parametrize("direction", ["apply", "apply_adjoint"])
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
     def test_bad_operand_shapes_raise(self, name, direction, rng):
         lm = BLOCK_MAPS[name](rng)
@@ -469,114 +472,90 @@ class TestBlockProducts:
                 product(np.ones(shape))
 
 
-def normal_operand(lm, k, rng):
-    return rng.standard_normal(lm.cols if k is None else (lm.cols, k))
+def residual_operands(lm, k, shift, rng):
+    """(v, w) for apply_residual: a vector (k None) or a block of k columns; w is None
+    with no shift."""
+    tail = () if k is None else (k,)
+    v = rng.standard_normal((lm.cols, *tail))
+    return v, rng.standard_normal((lm.rows, *tail)) if shift else None
 
 
-class TestNormalProduct:
-    """apply_normal is A^T (A v): the two products by default, one pass over a dense A."""
+def minus(x, w):
+    """x - w, or x with no shift (w None)."""
+    return x if w is None else x - w
 
+
+SHIFT = pytest.mark.parametrize("shift", [True, False], ids=["w", "no-w"])
+
+
+class TestResidualProduct:
+    """apply_residual is (r, A^T r) with r = A v - w, or A v with no w: the two
+    products by default, one pass over a dense A."""
+
+    @SHIFT
     @pytest.mark.parametrize("k", [None, 1, 5])
     @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "dense"])
-    def test_default_is_the_two_products_bitwise(self, name, k, rng):
+    def test_default_is_the_two_products_bitwise(self, name, k, shift, rng):
         lm = BLOCK_MAPS[name](rng)
-        assert type(lm).apply_normal is LinearMap.apply_normal
-        v = normal_operand(lm, k, rng)
-        np.testing.assert_array_equal(lm.apply_normal(v), lm.apply_adjoint(lm.apply(v)))
+        assert type(lm)._apply_residual is LinearMap._apply_residual
+        v, w = residual_operands(lm, k, shift, rng)
+        r, atr = lm.apply_residual(v, w)
+        np.testing.assert_array_equal(r, minus(lm.apply(v), w))
+        np.testing.assert_array_equal(atr, lm.apply_adjoint(minus(lm.apply(v), w)))
 
+    @SHIFT
     @pytest.mark.parametrize("k", [None, 1, 5])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_dense_in_one_block_is_the_two_products_bitwise(self, order, k, rng):
+    def test_dense_in_one_block_is_the_two_products_bitwise(self, order, k, shift, rng):
         lm = DenseMap(np.asarray(rng.standard_normal((70, 50)), order=order))
         assert 8 * lm.rows * lm.cols <= linops.NORMAL_BLOCK_BYTES
-        v = normal_operand(lm, k, rng)
-        np.testing.assert_array_equal(lm.apply_normal(v), lm.apply_adjoint(lm.apply(v)))
+        v, w = residual_operands(lm, k, shift, rng)
+        r, atr = lm.apply_residual(v, w)
+        np.testing.assert_array_equal(r, minus(lm.entries @ v, w))
+        np.testing.assert_array_equal(atr, lm.entries.T @ minus(lm.entries @ v, w))
 
+    @SHIFT
     @pytest.mark.parametrize("k", [None, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape, rows_per_block", [
         ((70, 50), 16),    # four full blocks and a partial one of 6 rows
         ((70, 50), 7),     # ten full blocks
         ((70, 50), 1),     # one row per block
         ((3000, 200), None),  # the module's own budget: 655 rows per block
     ])
-    def test_dense_across_blocks_matches_the_two_products(self, shape, rows_per_block, k,
-                                                          rng, monkeypatch):
-        if rows_per_block is not None:
-            monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * shape[1] * rows_per_block)
-        lm = DenseMap(rng.standard_normal(shape))
-        v = normal_operand(lm, k, rng)
-        # rounding of a reordered sum: 1e-13 of the summed magnitudes, entry by entry
-        scale = np.abs(lm.entries).T @ (np.abs(lm.entries) @ np.abs(v))
-        assert np.all(np.abs(lm.apply_normal(v) - lm.apply_adjoint(lm.apply(v))) <= 1e-13 * scale)
-
-
-def residual_operands(lm, k, rng):
-    """(v, w) for apply_residual: a vector (k None) or a block of k columns."""
-    tail = () if k is None else (k,)
-    return rng.standard_normal((lm.cols, *tail)), rng.standard_normal((lm.rows, *tail))
-
-
-class TestResidualProduct:
-    """apply_residual is (r, A^T r) with r = A v - w: the two products by
-    default, one pass over a dense A."""
-
-    @pytest.mark.parametrize("k", [None, 1, 5])
-    @pytest.mark.parametrize("name", [n for n in BLOCK_MAPS if n != "dense"])
-    def test_default_is_the_two_products_bitwise(self, name, k, rng):
-        lm = BLOCK_MAPS[name](rng)
-        assert type(lm)._apply_residual is LinearMap._apply_residual
-        v, w = residual_operands(lm, k, rng)
-        r, atr = lm.apply_residual(v, w)
-        np.testing.assert_array_equal(r, lm.apply(v) - w)
-        np.testing.assert_array_equal(atr, lm.apply_adjoint(lm.apply(v) - w))
-
-    @pytest.mark.parametrize("k", [None, 1, 5])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_dense_in_one_block_is_the_two_products_bitwise(self, order, k, rng):
-        lm = DenseMap(np.asarray(rng.standard_normal((70, 50)), order=order))
-        assert 8 * lm.rows * lm.cols <= linops.NORMAL_BLOCK_BYTES
-        v, w = residual_operands(lm, k, rng)
-        r, atr = lm.apply_residual(v, w)
-        np.testing.assert_array_equal(r, lm.entries @ v - w)
-        np.testing.assert_array_equal(atr, lm.entries.T @ (lm.entries @ v - w))
-
-    @pytest.mark.parametrize("k", [None, 5])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("shape, rows_per_block", [
-        ((70, 50), 16),    # four full blocks and a partial one of 6 rows
-        ((70, 50), 1),     # one row per block
-        ((3000, 200), None),  # the module's own budget: 655 rows per block
-    ])
     def test_dense_across_blocks_matches_the_two_products(self, shape, rows_per_block, order, k,
-                                                          rng, monkeypatch):
+                                                          shift, rng, monkeypatch):
         if rows_per_block is not None:
             monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * shape[1] * rows_per_block)
         lm = DenseMap(np.asarray(rng.standard_normal(shape), order=order))
         assert 8 * lm.rows * lm.cols > linops.NORMAL_BLOCK_BYTES
-        v, w = residual_operands(lm, k, rng)
+        v, w = residual_operands(lm, k, shift, rng)
         r, atr = lm.apply_residual(v, w)
-        want = lm.entries @ v - w
+        want = minus(lm.entries @ v, w)
         # rounding of a reordered sum: 1e-13 of the summed magnitudes, entry by entry
-        r_scale = np.abs(lm.entries) @ np.abs(v) + np.abs(w)
+        r_scale = np.abs(lm.entries) @ np.abs(v) + (0.0 if w is None else np.abs(w))
         assert np.all(np.abs(r - want) <= 1e-13 * r_scale)
         scale = np.abs(lm.entries).T @ r_scale
         assert np.all(np.abs(atr - lm.entries.T @ want) <= 1e-13 * scale)
 
+    @SHIFT
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
-    def test_results_are_new_arrays(self, name, rng):
+    def test_results_are_new_arrays(self, name, shift, rng):
         lm = BLOCK_MAPS[name](rng)
-        v, w = residual_operands(lm, None, rng)
+        v, w = residual_operands(lm, None, shift, rng)
         r, atr = lm.apply_residual(v, w)
         assert r.dtype == atr.dtype == np.float64
         assert r.shape == (lm.rows,) and atr.shape == (lm.cols,)
         for out in (r, atr):
-            assert not any(np.shares_memory(out, x) for x in (v, w))
+            assert not any(np.shares_memory(out, x) for x in (v, w) if x is not None)
         assert not np.shares_memory(r, atr)
 
+    @SHIFT
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
-    def test_empty_block_gives_empty_blocks(self, name, rng):
+    def test_empty_block_gives_empty_blocks(self, name, shift, rng):
         lm = BLOCK_MAPS[name](rng)
-        r, atr = lm.apply_residual(np.empty((lm.cols, 0)), np.empty((lm.rows, 0)))
+        r, atr = lm.apply_residual(np.empty((lm.cols, 0)),
+                                   np.empty((lm.rows, 0)) if shift else None)
         assert r.shape == (lm.rows, 0) and atr.shape == (lm.cols, 0)
 
     @pytest.mark.parametrize("name", list(BLOCK_MAPS))
@@ -587,9 +566,11 @@ class TestResidualProduct:
             ((n + 1,), (m,)), ((n, 2, 1), (m, 2, 1)), ((), (m,)),  # v of the wrong shape
             ((n,), (m + 1,)), ((n,), (m, 1)), ((n, 2), (m,)), ((n, 2), (m, 3)),  # w not A v's
             ((n, 2), (2, m)),
+            ((n, 2, 1), None), ((n + 1,), None), ((n + 1, 2), None), ((2, n), None),  # no w
+            ((), None),
         ]:
             with pytest.raises(DimensionError):
-                lm.apply_residual(np.ones(v_shape), np.ones(w_shape))
+                lm.apply_residual(np.ones(v_shape), None if w_shape is None else np.ones(w_shape))
 
 
 class TestInheritedMethods:
