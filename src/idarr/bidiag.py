@@ -51,6 +51,14 @@ class _Rows:
         return view
 
 
+def _block_cgs2(v, w, basis, dual, images):
+    """Block CGS2 in place: twice, c = dual @ v, then v -= c @ basis and w -= c @ images."""
+    for _ in range(2):
+        c = dual @ v
+        v -= c @ basis
+        w -= c @ images
+
+
 def _finite(value, name):
     if not math.isfinite(value):
         raise NumericalBreakdownError(f"{name} is not finite ({value})")
@@ -197,21 +205,14 @@ class BidiagProcess:
         """Turn p = A^T u - beta zbar into the next direction, unless alpha vanishes."""
         s = self.pinv_apply(p)
         if self.reorthogonalize and self._Z.count:
-            z, zbar = self.Z, self.Zbar
-            for _ in range(2):
-                c = zbar @ s
-                s -= c @ z
-                p -= c @ zbar
+            _block_cgs2(s, p, self.Z, self.Zbar, self.Zbar)
         alpha = math.sqrt(self._checked_pairing(s, p, self._tol))
         if alpha <= self._tol:
             self.reason = "alpha"
             return
-        if self.keep_vectors:
-            self.z = np.divide(s, alpha, out=self._Z.next_row(s.shape))
-            self.zbar = np.divide(p, alpha, out=self._Zbar.next_row(p.shape))
-        else:
-            self.z = s / alpha
-            self.zbar = p / alpha
+        self.z = np.divide(s, alpha, out=self._Z.next_row(s.shape) if self.keep_vectors else s)
+        self.zbar = np.divide(p, alpha,
+                              out=self._Zbar.next_row(p.shape) if self.keep_vectors else p)
         self.alphas.append(alpha)
 
     def advance(self):
@@ -229,11 +230,7 @@ class BidiagProcess:
             raise StateError("process already terminated")
         r, atr = self.linmap.apply_residual(self.z, self.alphas[-1] * self.u)
         if self.reorthogonalize:
-            u, atu = self.U, self._ATu.filled()
-            for _ in range(2):
-                c = u @ r
-                r -= c @ u
-                atr -= c @ atu
+            _block_cgs2(r, atr, self.U, self.U, self._ATu.filled())
         beta = _finite(math.sqrt(float(r @ r)), "coupling beta")
         if beta <= self._tol:
             self.reason = "beta"

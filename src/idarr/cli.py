@@ -216,41 +216,50 @@ def _worker_count():
 
 # -- benchmark rows ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _get_setup(kernel, m, n):
-    return make_fredholm(kernel, m, n)
+@dataclass(frozen=True)
+class BenchOperator:
+    """A bench operator: its setup, A = QR, and the geometry of R~ = [R; 0] under A's rho.
+
+    Golub-Kahan is invariant under an orthogonal change of data space, and ||R~ x - b~|| =
+    ||A x - b|| and R~^T R~ = A^T A, so in exact arithmetic a run on (R~, reduce(b)) has A's
+    iterates at O(n^2) per product and a ladder on it is A's. R's column sums differ from A's.
+    """
+
+    setup: object
+    q: np.ndarray
+    reduced: RkhsGeometry
+
+    def reduce(self, b):
+        """b~ = [Q^T b; ||b - Q Q^T b||], with the residual entry exactly where R~ has its row."""
+        qb = self.q.T @ b
+        return (qb if len(qb) == self.reduced.linmap.rows else
+                np.append(qb, np.linalg.norm(b - self.q @ qb)))
 
 
 @lru_cache(maxsize=None)
-def _get_truth(kernel, m, n, truth):
-    return true_solution(_get_setup(kernel, m, n), truth)
+def _bench_operator(kernel, m, n):
+    """The BenchOperator of make_fredholm(kernel, m, n), built once per process."""
+    setup = make_fredholm(kernel, m, n)
+    q, r = np.linalg.qr(setup.linmap.as_dense())
+    if m > n:  # otherwise Q is square, and a residual entry would be roundoff
+        r = np.vstack((r, np.zeros((1, n))))
+    return BenchOperator(setup, q, RkhsGeometry(DenseMap(r), setup.geom.rho))
+
+
+@lru_cache(maxsize=None)
+def _clean_problem(kernel, m, n, truth):
+    """The noise-free problem of the operator under truth; a row only draws its noise."""
+    setup = _bench_operator(kernel, m, n).setup
+    return clean_problem(setup, true_solution(setup, truth))
 
 
 @lru_cache(maxsize=None)
 def _get_factored(kernel, m, n, method):
     """A direct method's factorization of R~; the weighted norms reuse A's eigenpairs."""
     norm = METHODS[method][1]
-    decomp = None if norm == "l2" else _get_setup(kernel, m, n).decomposition()
-    _, reduced = _get_reduced(kernel, m, n)
-    return DirectFactorization.build(reduced.linmap, norm, reduced.rho, decomp)
-
-
-@lru_cache(maxsize=None)
-def _get_reduced(kernel, m, n):
-    """(Q, geometry of R~) for the setup's A = QR: every bench row's operator.
-
-    Golub-Kahan is invariant under an orthogonal change of data space, so a
-    run on R~ = [R; 0] with data b~ = [Q^T b; ||b - Q Q^T b||] has, in exact
-    arithmetic, A's iterates at O(n^2) per product, and as ||R~ x - b~|| =
-    ||A x - b|| and R~^T R~ = A^T A, a ladder on it is A's. The geometry keeps
-    A's rho (R's column sums differ). Only for m > n is the residual row
-    kept: otherwise Q is square and that entry is roundoff.
-    """
-    setup = _get_setup(kernel, m, n)
-    q, r = np.linalg.qr(setup.linmap.as_dense())
-    if m > n:
-        r = np.vstack((r, np.zeros((1, n))))
-    return q, RkhsGeometry(DenseMap(r), setup.geom.rho)
+    bench = _bench_operator(kernel, m, n)
+    decomp = None if norm == "l2" else bench.setup.decomposition()
+    return DirectFactorization.build(bench.reduced.linmap, norm, bench.reduced.rho, decomp)
 
 
 def _check_keywords(method, kw):
@@ -284,23 +293,19 @@ def run_bench_row(cfg, method, nsr, trial):
     """Run one (method, nsr, trial) cell of cfg; returns its results and stopping row, and x."""
     seed = row_seed(cfg.seed_base, method, nsr, trial)
     op = (cfg.kernel, cfg.m, cfg.n)
-    x_true = _get_truth(*op, cfg.truth)
-    problem = add_noise(clean_problem(_get_setup(*op), x_true), nsr, seed)
-    geom = problem.geom
+    problem = add_noise(_clean_problem(*op, cfg.truth), nsr, seed)
     lcurve = cfg.stop_rule == "lcurve"
     stop = _bench_rule(cfg, problem.noise_norm)
     # reduced and factored once per process, so a row times only its own solve
-    q, reduced = _get_reduced(*op)
+    bench = _bench_operator(*op)
     factored = None if method in ITERATIVE_METHODS else _get_factored(*op, method)
     t0 = time.perf_counter()
-    # b~, whose residual entry is kept only where R~ has its residual row (m > n)
-    qb = q.T @ problem.b
-    b = np.append(qb, np.linalg.norm(problem.b - q @ qb))[: reduced.linmap.rows]
-    result = run_method(method, reduced.linmap, reduced, b, stop, factored)
+    result = run_method(method, bench.reduced.linmap, bench.reduced, bench.reduce(problem.b),
+                        stop, factored)
     elapsed = time.perf_counter() - t0
     x = result.x
-    err = l2rho_error(geom, x, x_true)
-    truth_norm = geom.weighted_norm(x_true)
+    err = l2rho_error(problem.geom, x, problem.x_true)
+    truth_norm = problem.geom.weighted_norm(problem.x_true)
     res = problem.linmap.apply(x) - problem.b
     row = {
         "method": method,
@@ -341,7 +346,7 @@ def cmd_fredholm_bench(args):
             setattr(cfg, f.name, getattr(args, f.name))
     _validate_config(cfg)
     try:  # cached for the rows; an operator with no in-range truth makes no directory
-        _get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth)
+        _clean_problem(cfg.kernel, cfg.m, cfg.n, cfg.truth)
     except GeometryError as exc:
         raise UsageError(f"truth {cfg.truth!r} on a {cfg.m}x{cfg.n} operator: {exc}") from None
 
@@ -398,27 +403,23 @@ def run_timing_sweep(n_ladder, m, k_fixed, replicas, seed):
         setup = make_fredholm("exp", m, n)
         x_true = true_solution(setup, "out-of-range")
         problems[n] = add_noise(clean_problem(setup, x_true), 0.05, seed + n)
-    stop = FixedIters(k_fixed)
-    solvers = (  # looked up by module name at call time
-        ("iDARR", replicas, lambda p: idarr_solve(p.geom, p.b, stop)),
-        ("DARTR", max(3, replicas // 5), lambda p: dartr_solve(p.linmap, p.geom.rho, p.b)),
-    )
+    solvers = (("iDARR", replicas, FixedIters(k_fixed)), ("DARTR", max(3, replicas // 5), LCurve()))
     for problem in problems.values():
-        for _, _, solve in solvers:
-            solve(problem)
+        for name, _, stop in solvers:
+            run_method(name, problem.linmap, problem.geom, problem.b, stop)
     rows = []
     best = {}
     order = list(n_ladder)
     shuffler = random.Random(seed)
     gc.disable()
     try:
-        for name, rounds, solve in solvers:
+        for name, rounds, stop in solvers:
             for rep in range(1, rounds + 1):
                 shuffler.shuffle(order)
                 for n in order:
                     problem = problems[n]
                     t0 = time.perf_counter()
-                    solve(problem)
+                    run_method(name, problem.linmap, problem.geom, problem.b, stop)
                     ms = (time.perf_counter() - t0) * 1e3
                     rows.append((name, n, rep, ms))
                     best[name, n] = min(best.get((name, n), ms), ms)
@@ -430,9 +431,8 @@ def run_timing_sweep(n_ladder, m, k_fixed, replicas, seed):
 def cmd_timing(args):
     ladder = args.n_ladder
     os.makedirs(args.output_dir, exist_ok=True)
-    rows, best = run_timing_sweep(
-        ladder, m=args.m, k_fixed=args.k_fixed, replicas=args.replicas, seed=args.seed
-    )
+    rows, best = run_timing_sweep(ladder, m=args.m, k_fixed=args.k_fixed,
+                                  replicas=args.replicas, seed=args.seed)
     out_path = os.path.join(args.output_dir, "timing.csv")
     _write_csv(out_path, ("solver", "n", "replica", "wall_time_ms"),
                ([solver, n, rep, f"{ms:.3f}"] for solver, n, rep, ms in rows))
@@ -494,20 +494,21 @@ def cmd_deblur(args):
     return 0
 
 
-def _parse_stop_flag(spec, max_iters):
+def _parse_stop_flag(spec, budget):
     kind, _, rest = spec.partition(":")
     try:
         if spec == "lcurve":
-            return LCurve(max_iters=max_iters)
+            return LCurve(**budget)
         if kind == "dp":
             noise, _, tau = rest.partition(":")
             return Discrepancy(noise_norm=float(noise), tau=float(tau) if tau else Discrepancy.tau,
-                               max_iters=max_iters)
-        if kind == "fixed":
+                               **budget)
+        if kind == "fixed" and not budget:
             return FixedIters(int(rest))
     except ValueError as exc:
         raise UsageError(f"bad stop spec {spec!r}: {exc}") from None
-    raise UsageError(f"unknown stop rule {spec!r}; expected lcurve, dp:NOISE[:TAU] or fixed:K")
+    raise UsageError(f"bad stop spec {spec!r}; expected lcurve, dp:NOISE[:TAU] or fixed:K "
+                     "(fixed:K takes no --max-iters)")
 
 
 def _read_data(path, rows):
@@ -522,9 +523,10 @@ def _read_data(path, rows):
 
 def cmd_solve(args):
     norm = METHODS[args.method][1]
-    stop = _parse_stop_flag(args.stop, args.max_iters)
     kw = {"reorthogonalize": True} if args.reorthogonalize else {}
-    _check_keywords(args.method, kw)
+    budget = {} if args.max_iters is None else {"max_iters": args.max_iters}
+    _check_keywords(args.method, {**kw, **budget})  # a ladder reads no budget
+    stop = _parse_stop_flag(args.stop, budget)
     fresh = not os.path.exists(args.out)
     open(args.out, "ab").close()  # an unwritable --out fails before any work
     try:
@@ -617,7 +619,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="data vector file")
     p.add_argument("--method", default=ALL_METHODS[0], choices=ALL_METHODS)
     p.add_argument("--stop", default="lcurve", help="lcurve | dp:NOISE[:TAU] | fixed:K")
-    p.add_argument("--max-iters", type=int, default=LCurve.max_iters)
+    p.add_argument("--max-iters", type=int, help=f"lcurve/dp budget (default {LCurve.max_iters})")
     p.add_argument("--reorthogonalize", action="store_true")
     p.add_argument("--out", default="solution.bin")
     p.set_defaults(func=cmd_solve)

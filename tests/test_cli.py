@@ -233,6 +233,22 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, reason", [
+        (["--stop", "fixed:5", "--max-iters", "50"], "fixed:K takes no --max-iters"),
+        (["--method", "DARTR", "--max-iters", "50"], "direct method"),
+        (["--method", "DARTR", "--max-iters", "7"], "direct method"),
+        (["--method", "l2-direct", "--stop", "fixed:5", "--max-iters", "50"], "direct method"),
+    ])
+    def test_budget_that_nothing_reads_is_usage_error(self, dense_instance, tmp_path, capsys,
+                                                      extra, reason):
+        # only an iterative run under lcurve or dp reads --max-iters
+        desc, data, _, _ = dense_instance
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", data, "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and reason in err, err
+        assert not out.exists()
+
     def test_run_method_rejects_keywords_on_a_direct_method(self, dense_instance):
         _, _, a, b = dense_instance
         linmap = DenseMap(a)
@@ -265,9 +281,10 @@ class TestBenchCommand:
         setup = make_fredholm("exp", 80, 30)
         problem = add_noise(clean_problem(setup, true_solution(setup, "in-range")),
                             float(row["nsr"]), int(row["seed"]))
-        q, reduced = cli._get_reduced("exp", 80, 30)
-        result = cli.run_method("DARTR", reduced.linmap, reduced, reduced_data(q, problem.b),
-                                LCurve(max_iters=15), cli._get_factored("exp", 80, 30, "DARTR"))
+        bench = cli._bench_operator("exp", 80, 30)
+        result = cli.run_method("DARTR", bench.reduced.linmap, bench.reduced,
+                                bench.reduce(problem.b), LCurve(max_iters=15),
+                                cli._get_factored("exp", 80, 30, "DARTR"))
         k_dp = dp_stop(result.history[:, 0], problem.noise_norm, Discrepancy.tau)
         assert k_dp is not None and line["k_dp"] == str(k_dp)
         stats = read_csv(out / "stats.csv")
@@ -398,10 +415,10 @@ CONFIGS = [os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name
 def cold_bench_caches():
     """Empty the per-process caches before and after.
 
-    They hold the setup, the truth, the reduction to R~ and each direct
-    method's factorization of R~.
+    They hold each operator's setup and reduction to R~, the noise-free
+    problem of each truth and each direct method's factorization of R~.
     """
-    caches = (cli._get_setup, cli._get_truth, cli._get_factored, cli._get_reduced)
+    caches = (cli._bench_operator, cli._clean_problem, cli._get_factored)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -446,9 +463,9 @@ def test_bench_factorization_is_the_reduced_operators(config, cold_bench_caches)
     # measured at seed_base 1, all 20 trials, x 1.9e-10 and the history to
     # k_stop 5.1e-11 (l2-direct, poly).
     cfg = load_config(config)
-    setup = cli._get_setup(cfg.kernel, cfg.m, cfg.n)
-    q, reduced = cli._get_reduced(cfg.kernel, cfg.m, cfg.n)
-    base = clean_problem(setup, cli._get_truth(cfg.kernel, cfg.m, cfg.n, cfg.truth))
+    bench = cli._bench_operator(cfg.kernel, cfg.m, cfg.n)
+    setup, reduced = bench.setup, bench.reduced
+    base = cli._clean_problem(cfg.kernel, cfg.m, cfg.n, cfg.truth)
     for method in ("DARTR", "L2-direct", "l2-direct"):
         norm = cli.METHODS[method][1]
         factored = cli._get_factored(cfg.kernel, cfg.m, cfg.n, method)
@@ -461,10 +478,10 @@ def test_bench_factorization_is_the_reduced_operators(config, cold_bench_caches)
             assert factored.lambdas.tobytes() == unreduced.lambdas.tobytes()
         for nsr in cfg.nsr_ladder:
             b = add_noise(base, nsr, row_seed(cfg.seed_base, method, nsr, 1)).b
-            warm = cli.run_method(method, reduced.linmap, reduced, reduced_data(q, b), LCurve(),
+            warm = cli.run_method(method, reduced.linmap, reduced, bench.reduce(b), LCurve(),
                                   factored)
             if norm == "l2":
-                cold = tikhonov_direct(reduced.linmap, reduced_data(q, b))
+                cold = tikhonov_direct(reduced.linmap, bench.reduce(b))
                 for name in ("x", "lambdas", "history", "iterates"):
                     assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
             cold = cli.run_method(method, setup.linmap, setup.geom, b, LCurve())
@@ -477,11 +494,9 @@ def test_bench_factorization_is_the_reduced_operators(config, cold_bench_caches)
 def test_dp_bench_row_takes_the_direct_discrepancy_point(cold_bench_caches):
     cfg = ExperimentConfig(kernel="exp", m=80, n=30, truth="in-range", stop_rule="dp")
     row, x = cli.run_bench_row(cfg, "DARTR", 0.25, 1)
-    setup = cli._get_setup("exp", 80, 30)
-    problem = add_noise(clean_problem(setup, cli._get_truth("exp", 80, 30, "in-range")),
-                        0.25, row["seed"])
-    q, _ = cli._get_reduced("exp", 80, 30)
-    ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(reduced_data(q, problem.b))
+    problem = add_noise(cli._clean_problem("exp", 80, 30, "in-range"), 0.25, row["seed"])
+    reduce = cli._bench_operator("exp", 80, 30).reduce
+    ladder = cli._get_factored("exp", 80, 30, "DARTR").solve(reduce(problem.b))
     k_dp = dp_stop(ladder.history[:, 0], problem.noise_norm, cfg.tau)
     assert k_dp is not None and k_dp != ladder.k_stop
     assert row["k_stop"] == row["k_dp"] == k_dp
@@ -507,7 +522,7 @@ def test_discrepancy_budget_is_the_solve_commands(exp_setup, tmp_path, capsys):
 def test_bench_factorization_holds_the_reduced_operator(method, cold_bench_caches):
     # the factorization reads R~ through as_dense(): a read-only view of the
     # reduced map's entries, not a copy, and A is not held a second time
-    entries = cli._get_reduced("poly", 60, 20)[1].linmap.entries
+    entries = cli._bench_operator("poly", 60, 20).reduced.linmap.entries
     a = cli._get_factored("poly", 60, 20, method).a
     assert np.shares_memory(a, entries) and a.shape == entries.shape == (21, 20)
     assert not a.flags.writeable
@@ -528,14 +543,31 @@ def test_bench_factorizes_once_per_operator_and_weights(tmp_path, monkeypatch,
     assert len(qr_calls) == 2
 
 
-def reduced_data(q, b):
-    """The data of a solve on R~: Q^T b, and ||b - Q Q^T b|| when Q is tall.
+def test_bench_forms_each_clean_problem_once(tmp_path, monkeypatch, cold_bench_caches):
+    # a row draws only its noise; A x_true is formed once per (operator, truth)
+    monkeypatch.delenv("IDARR_THREADS", raising=False)
+    calls = []
+    build = cli.clean_problem
+    monkeypatch.setattr(cli, "clean_problem",
+                        lambda setup, x_true: calls.append(setup) or build(setup, x_true))
+    runs = (("exp", "in"), ("exp", "out"), ("poly", "out"), ("exp", "in-range"))
+    for i, (kernel, truth) in enumerate(runs):
+        assert main(["fredholm-bench", "--kernel", kernel, "--m", "40", "--n", "15",
+                     "--truth", truth, "--nsr-ladder", "0.5,0.25", "--trials", "2",
+                     "--methods", "iDARR,DARTR", "--output-dir", str(tmp_path / str(i))]) == 0
+    assert len(calls) == 3  # "in" and "in-range" name one truth
 
-    With the residual entry, ||b|| and every residual are kept; a square Q
-    has none.
-    """
-    qb = q.T @ b
-    return np.append(qb, np.linalg.norm(b - q @ qb)) if q.shape[0] > q.shape[1] else qb
+
+@pytest.mark.parametrize("m, n", [(80, 30), (40, 40), (20, 60)])
+def test_bench_reduction_fits_the_reduced_operator(m, n, cold_bench_caches):
+    # b~ has R~'s rows: the residual entry exactly where R~ has its residual
+    # row, and with it ||b~|| = ||b||
+    bench = cli._bench_operator("poly", m, n)
+    b = np.random.default_rng(7).standard_normal(m)
+    reduced_b = bench.reduce(b)
+    assert reduced_b.shape == (bench.reduced.linmap.rows,)
+    if m > n:
+        assert abs(np.linalg.norm(reduced_b) - np.linalg.norm(b)) <= 1e-14 * np.linalg.norm(b)
 
 
 # (truth, nsr, seed) draws on make_fredholm(kernel, 200, 40)
@@ -544,14 +576,14 @@ REDUCTION_DRAWS = list(product(("in-range", "out-of-range"), (1.0, 0.25, 0.0625)
 
 def full_and_reduced_runs(kernel, stop, reorthogonalize):
     """Each iterative method's run on (A, b) and on ([R; 0], reduced b), for every draw."""
-    setup = cli._get_setup(kernel, 200, 40)
-    q, reduced = cli._get_reduced(kernel, 200, 40)
+    bench = cli._bench_operator(kernel, 200, 40)
+    setup, reduced = bench.setup, bench.reduced
     for truth, nsr, seed in REDUCTION_DRAWS:
         b = add_noise(clean_problem(setup, true_solution(setup, truth)), nsr, seed).b
         for method in ITERATIVE_METHODS:
             yield (cli.run_method(method, setup.linmap, setup.geom, b, stop,
                                   reorthogonalize=reorthogonalize),
-                   cli.run_method(method, reduced.linmap, reduced, reduced_data(q, b), stop,
+                   cli.run_method(method, reduced.linmap, reduced, bench.reduce(b), stop,
                                   reorthogonalize=reorthogonalize))
 
 
@@ -596,8 +628,8 @@ def test_every_bench_row_solves_on_the_reduced_operator(m, n, cold_bench_caches)
     # noise levels, x 5.2e-7 and the history to k_stop 2.1e-8 (l2-direct,
     # 20 x 60, whose A^T A has 40 zero eigenvalues).
     cfg = ExperimentConfig(kernel="poly", m=m, n=n, truth="out-of-range")
-    setup = cli._get_setup("poly", m, n)
-    q, reduced = cli._get_reduced("poly", m, n)
+    bench = cli._bench_operator("poly", m, n)
+    setup, q, reduced = bench.setup, bench.q, bench.reduced
     assert q.shape == (m, min(m, n))
     assert reduced.linmap.entries.shape == (min(m, n) + (m > n), n)
     # A's rho, so C^+ = B^-1 R~^T R~ B^-1 is A's metric
@@ -605,7 +637,7 @@ def test_every_bench_row_solves_on_the_reduced_operator(m, n, cold_bench_caches)
     p = np.random.default_rng(5).standard_normal(n)
     want = setup.geom.apply_crkhs_pinv(p)
     assert np.linalg.norm(reduced.apply_crkhs_pinv(p) - want) <= 1e-12 * np.linalg.norm(want)
-    base = clean_problem(setup, cli._get_truth("poly", m, n, cfg.truth))
+    base = cli._clean_problem("poly", m, n, cfg.truth)
     for method in cli.ALL_METHODS:
         row, x = cli.run_bench_row(cfg, method, 0.25, 1)
         b = add_noise(base, 0.25, row["seed"]).b
