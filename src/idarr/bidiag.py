@@ -14,11 +14,12 @@ falls to roundoff scale, at which point the generated subspace is exhausted.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalBreakdownError, StateError, TrivialDataError
+from .errors import (
+    DimensionError, GeometryError, NumericalBreakdownError, StateError, TrivialDataError,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -81,25 +82,6 @@ def check_data(b, rows):
     return b, norm
 
 
-@dataclass
-class BidiagStep:
-    """One advance of the process: scalars and (unless terminal) new directions.
-
-    reason is None for an ordinary step, else "alpha" or "beta": the
-    coupling that vanished and ended the process.
-    """
-
-    alpha: float
-    beta: float
-    z: np.ndarray | None
-    zbar: np.ndarray | None
-    reason: str | None = None
-
-    @property
-    def terminated(self):
-        return self.reason is not None
-
-
 class BidiagProcess:
     """Incremental bidiagonalization keeping O(n) state by default.
 
@@ -128,7 +110,8 @@ class BidiagProcess:
         non-finite coupling raises NumericalBreakdownError.
     pinv_apply : callable or None
         Action of K^+ on a vector, returned as a new array (the process
-        may update it in place); None means the identity metric.
+        updates it in place); None means the identity metric. A first
+        result that shares memory with its argument raises GeometryError.
     reorthogonalize : bool
         Re-project each new direction against all previous ones (block
         classical Gram-Schmidt, twice). Implies keeping the full history,
@@ -144,7 +127,6 @@ class BidiagProcess:
         self.pinv_apply = pinv_apply if pinv_apply is not None else np.copy
         self.reorthogonalize = bool(reorthogonalize)
         self.keep_vectors = bool(keep_vectors or reorthogonalize)
-        self.beta1 = beta1
         self.reason = None
         self.alphas = []
         self.betas = [beta1]
@@ -204,6 +186,8 @@ class BidiagProcess:
     def _extend(self, p):
         """Turn p = A^T u - beta zbar into the next direction, unless alpha vanishes."""
         s = self.pinv_apply(p)
+        if not self.alphas and np.shares_memory(s, p):  # the contract, checked once
+            raise GeometryError("pinv_apply must return a new array, not its argument or a view")
         if self.reorthogonalize and self._Z.count:
             _block_cgs2(s, p, self.Z, self.Zbar, self.Zbar)
         alpha = math.sqrt(self._checked_pairing(s, p, self._tol))
@@ -222,9 +206,9 @@ class BidiagProcess:
         A^T u = A^T r / beta needs no second product: a step reads a dense A
         once here, and iDARR's metric application reads it once more.
 
-        Returns a BidiagStep; when the process exhausts the subspace the
-        step carries its reason (and the closing beta if the data-space
-        direction was still valid) and the state freezes.
+        Returns the process. When it exhausts the subspace, reason is set,
+        betas ends with the closing beta (zero if the data-space direction
+        vanished) and the state freezes.
         """
         if self.terminated:
             raise StateError("process already terminated")
@@ -235,16 +219,14 @@ class BidiagProcess:
         if beta <= self._tol:
             self.reason = "beta"
             self.betas.append(0.0)
-            return BidiagStep(0.0, 0.0, None, None, "beta")
+            return self
         self.u = np.divide(r, beta, out=self._U.next_row(r.shape) if self.keep_vectors else r)
         self.betas.append(beta)
         atr /= beta  # now A^T u
         self._keep_atu(atr)
         atr -= beta * self.zbar
         self._extend(atr)
-        if self.terminated:
-            return BidiagStep(0.0, beta, None, None, self.reason)
-        return BidiagStep(self.alphas[-1], beta, self.z, self.zbar)
+        return self
 
 
 def run_bidiag(geom, b, max_steps, reorthogonalize=False):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagProcess
-from .errors import InsufficientHistoryError
+from .errors import InsufficientHistoryError, NumericalBreakdownError
 
 _LOG_FLOOR = 1e-300  # clamp before taking logs so a zero residual or norm stays finite
 CORNER_SCALE_FRAC = 0.05  # arc-length stencil of polyline_bends, as a fraction of the curve
@@ -224,27 +224,27 @@ class UpdateState:
     """Givens-rotation recursion for the subspace least-squares solution.
 
     Tracks x_k and the shadow xbar_k = K x_k through paired direction
-    updates, so the penalty norm is a dot product away. Initialized from
-    the first couplings (alpha_1, beta_1) and directions (z_1, zbar_1).
+    updates, so the penalty norm is a dot product away. Reads a running
+    BidiagProcess, whose directions it never writes and the process never rewrites.
     """
 
-    def __init__(self, alpha1, beta1, z1, zbar1):
-        self.x = np.zeros_like(z1)
-        self.xbar = np.zeros_like(zbar1)
-        self.w = z1.copy()
-        self.wbar = zbar1.copy()
-        self.rhobar = float(alpha1)
-        self.gammabar = float(beta1)
-        self.steps = 0
+    def __init__(self, proc):
+        self.x = np.zeros_like(proc.z)
+        self.xbar = np.zeros_like(proc.zbar)
+        self.w = proc.z
+        self.wbar = proc.zbar
+        self.rhobar = float(proc.alphas[0])
+        self.gammabar = float(proc.betas[0])
 
-    def step(self, alpha_next, beta_next, z_next, zbar_next):
-        """Fold in couplings (alpha_{i+1}, beta_{i+1}) and advance x_i.
+    def step(self, proc):
+        """Fold in the process's latest couplings (alpha_{i+1}, beta_{i+1}) and advance x_i.
 
-        At subspace exhaustion call with the closing couplings and
-        z_next=None; the solution update still applies but no new search
-        direction is formed. Returns (residual_norm, penalty_norm_sq) for
-        the newly completed iterate.
+        Once the process has terminated, betas[-1] is the closing coupling;
+        the solution update still applies but no new search direction is
+        formed. Returns (residual_norm, penalty_norm_sq) for the newly
+        completed iterate.
         """
+        beta_next = proc.betas[-1]
         rho = float(np.hypot(self.rhobar, beta_next))
         c = self.rhobar / rho
         s = beta_next / rho
@@ -253,13 +253,13 @@ class UpdateState:
         coef = gamma / rho
         self.x += coef * self.w
         self.xbar += coef * self.wbar
-        if z_next is not None:
+        if not proc.terminated:
+            alpha_next = proc.alphas[-1]
             theta = s * alpha_next
             self.rhobar = -c * alpha_next
             frac = theta / rho
-            self.w = z_next - frac * self.w
-            self.wbar = zbar_next - frac * self.wbar
-        self.steps += 1
+            self.w = proc.z - frac * self.w
+            self.wbar = proc.zbar - frac * self.wbar
         return self.gammabar, self.penalty_norm_sq()
 
     def penalty_norm_sq(self):
@@ -303,8 +303,11 @@ class SolveResult:
         history is the path's (K, 2) norms and iterates its points, or None
         when they were not kept; last is point K (the zero vector for an
         empty path), which stands in for point k_stop = K. The rule is told
-        the path terminated when reason is set.
+        the path terminated when reason is set. A norm that is not finite
+        (an overflow) raises NumericalBreakdownError before any selection.
         """
+        if not np.isfinite(history).all():
+            raise NumericalBreakdownError("a residual or penalty norm of the path is not finite")
         k_stop, converged, weak = stop.select(history[:, 0], history[:, 1],
                                               reason is not None, data_norm)
         x = iterates[k_stop - 1] if k_stop < len(history) else last
@@ -336,19 +339,18 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
     iterates = [] if store_iterates else None
     x = np.zeros(linmap.cols)  # stays zero when nothing is explorable
     if not proc.terminated:
-        state = UpdateState(proc.alphas[0], proc.beta1, proc.z, proc.zbar)
-        while state.steps < stop.budget:
-            step = proc.advance()
-            residual, norm_sq = state.step(step.alpha, step.beta, step.z, step.zbar)
+        state = UpdateState(proc)
+        while len(history) < stop.budget:
+            residual, norm_sq = state.step(proc.advance())
             history.append((residual, math.sqrt(norm_sq)))
             if store_iterates:
                 iterates.append(state.x.copy())
-            if step.terminated or stop.reached(residual):
+            if proc.terminated or stop.reached(residual):
                 break
         x = state.x
 
     history = np.array(history, dtype=np.float64).reshape(-1, 2)
-    return SolveResult.from_path(stop, history, iterates, x, proc.reason, proc.beta1)
+    return SolveResult.from_path(stop, history, iterates, x, proc.reason, proc.betas[0])
 
 
 # -- public solver entry points ----------------------------------------------

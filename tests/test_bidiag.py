@@ -15,6 +15,7 @@ import pytest
 from idarr import (
     BidiagProcess,
     DenseMap,
+    GeometryError,
     LCurve,
     LinearMap,
     NumericalBreakdownError,
@@ -122,7 +123,7 @@ class TestFirstStepByHand:
         geom = toy_geom()
         proc = BidiagProcess(geom.linmap, np.array([1.0, 0.0]),
                              pinv_apply=geom.apply_crkhs_pinv)
-        assert proc.beta1 == 1.0
+        assert proc.betas[0] == 1.0
         np.testing.assert_allclose(proc.U[0], [1.0, 0.0])
         assert proc.alphas[0] == pytest.approx(6.0, rel=1e-14)
         np.testing.assert_allclose(proc.z, [3.0, 0.0], atol=1e-14)
@@ -191,7 +192,7 @@ class TestTermination:
                              pinv_apply=geom.apply_crkhs_pinv, keep_vectors=True)
         step = proc.advance()
         assert step.terminated and step.reason == "alpha"
-        assert step.beta == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        assert step.betas[-1] == pytest.approx(np.sqrt(2.0), rel=1e-14)
         assert proc.k_t == 1
         np.testing.assert_allclose(proc.betas, [np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-14)
 
@@ -217,6 +218,21 @@ class TestTermination:
             BidiagProcess(DenseMap(TOY_A), np.array([1.0, 0.0]),
                           pinv_apply=lambda p: -p)
 
+    def test_pinv_apply_returning_its_argument_raises(self):
+        # the process divides pinv_apply(p) and p in place; one array would be
+        # divided twice (alpha_2 = 2.1142 here instead of 2.7444)
+        a = np.random.default_rng(0).standard_normal((12, 6))
+        b = np.random.default_rng(1).standard_normal(12)
+        for alias in (lambda p: p, lambda p: p[:]):
+            with pytest.raises(GeometryError, match="new array"):
+                BidiagProcess(DenseMap(a), b, pinv_apply=alias)
+
+    def test_advance_returns_the_process(self):
+        geom = toy_geom()
+        proc = BidiagProcess(geom.linmap, np.array([1.0, 1.0]),
+                             pinv_apply=geom.apply_crkhs_pinv)
+        assert proc.advance() is proc
+
     def test_non_finite_values_raise_breakdown(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NumericalBreakdownError):
@@ -225,7 +241,7 @@ class TestTermination:
 
         def pinv(p):  # finite on the first call, NaN from the second on
             calls.append(p)
-            return p if len(calls) == 1 else p * np.nan
+            return p.copy() if len(calls) == 1 else p * np.nan
 
         proc = BidiagProcess(DenseMap(TOY_A), np.array([1.0, 1.0]), pinv_apply=pinv)
         with pytest.raises(NumericalBreakdownError):

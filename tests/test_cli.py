@@ -162,6 +162,21 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["DARTR", "l2-direct"])
+    def test_overflowing_path_is_numerical_failure(self, tmp_path, capsys, method):
+        # the data norm is finite, but the ladder's penalty norms overflow; a
+        # corner picked from their NaN bends would be no solution
+        setup = make_fredholm("poly", 200, 80)
+        b = add_noise(clean_problem(setup, true_solution(setup, "out")), 0.01, 3).b
+        desc = save_operator(setup.linmap, str(tmp_path))
+        data = tmp_path / "b_wide.bin"
+        write_array(str(data), 1e152 * b)
+        out = tmp_path / "x.bin"
+        assert main(["solve", "--operator", desc, "--data", str(data),
+                     "--method", method, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["iDARR", "DARTR"])
     @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
     def test_malformed_data_vector_is_io_error(self, dense_instance, tmp_path, method, bad):

@@ -529,6 +529,20 @@ def test_bad_data_rejected(solve, b, error):
         solve(np.array(b))
 
 
+@pytest.mark.parametrize("solve", [
+    dartr_solve,
+    lambda linmap, rho, b: tikhonov_direct(linmap, b),
+], ids=["dartr", "tikhonov"])
+def test_overflowing_ladder_norms_raise(solve):
+    # a finite data norm whose ladder norms overflow to inf: no corner to pick
+    setup = make_fredholm("exp", 200, 40)
+    b = add_noise(clean_problem(setup, true_solution(setup, "out")), 0.25, 4).b
+    rho = compute_exploration_weights(setup.linmap)
+    solve(setup.linmap, rho, b)  # the same data at its own scale solves
+    with pytest.raises(NumericalBreakdownError, match="not finite"):
+        solve(setup.linmap, rho, 1e150 * b)
+
+
 def test_factorization_solves_repeatedly_like_the_one_shots(rng):
     a = rng.standard_normal((40, 12))
     rho = compute_exploration_weights(DenseMap(a))
