@@ -2,7 +2,9 @@
 
 Header is ``f64le <dim0> [<dim1> ...]`` followed by a newline; the payload is
 the raw row-major buffer. The format is deliberately minimal so vectors and
-matrices written on any platform read back bit-identically.
+matrices written on any platform read back bit-identically. ``read_array``
+reads into ``aligned_empty`` storage, so its result starts on a 64-byte
+boundary (a cache line), where dense products over it run fastest.
 """
 
 import math
@@ -13,6 +15,18 @@ import numpy as np
 from .errors import IoError
 
 _MAGIC = b"f64le"
+ALIGN = 64  # bytes: a cache line
+
+
+def aligned_empty(shape):
+    """A new uninitialized C-contiguous float64 array of shape (a tuple), data ALIGN-aligned.
+
+    It is a view of a uint8 buffer ALIGN bytes longer than the data, so it owns no data.
+    """
+    nbytes = 8 * math.prod(shape)
+    buf = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    # offset, then cut: an empty buf[i:i] would keep buf's own address
+    return buf[-buf.ctypes.data % ALIGN:][:nbytes].view(np.float64).reshape(shape)
 
 
 def write_array(path, arr):
@@ -37,7 +51,7 @@ def _header_shape(path, header):
 
 
 def read_array(path):
-    """The array stored at path, read straight into a new writable array.
+    """The array stored at path, read straight into a new writable aligned_empty array.
 
     The payload size is checked against the header before anything is
     allocated, so a header naming a huge shape raises IoError.
@@ -52,7 +66,7 @@ def read_array(path):
                 raise IoError(
                     f"{path}: expected {nbytes} payload bytes for shape {shape}, got {size}"
                 )
-            data = np.empty(shape, dtype="<f8")
+            data = aligned_empty(shape).view("<f8")
             got = fh.readinto(data)
     except OSError as exc:
         raise IoError(f"cannot read array file {path}: {exc}") from exc

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .arrayio import read_array, write_array
+from .arrayio import aligned_empty, read_array, write_array
 from .bidiag import run_bidiag
 from .errors import (
     DimensionError,
@@ -241,9 +241,10 @@ def _bench_operator(kernel, m, n):
     """The BenchOperator of make_fredholm(kernel, m, n), built once per process."""
     setup = make_fredholm(kernel, m, n)
     q, r = np.linalg.qr(setup.linmap.as_dense())
-    if m > n:  # otherwise Q is square, and a residual entry would be roundoff
-        r = np.vstack((r, np.zeros((1, n))))
-    return BenchOperator(setup, q, RkhsGeometry(DenseMap(r), setup.geom.rho))
+    # [R; 0] for m > n; otherwise Q is square, and a residual entry would be roundoff
+    reduced = aligned_empty((min(m, n + 1), n))
+    reduced[:len(r)], reduced[len(r):] = r, 0.0
+    return BenchOperator(setup, q, RkhsGeometry(DenseMap(reduced), setup.geom.rho))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .arrayio import aligned_empty
 from .errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 
 
@@ -106,7 +107,7 @@ NORMAL_BLOCK_BYTES = 1 << 20
 
 
 class DenseMap(LinearMap):
-    """Operator backed by an explicit matrix."""
+    """Operator backed by an explicit matrix, kept as given: a float64 array is not copied."""
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=np.float64)
@@ -332,6 +333,11 @@ KERNELS = {
 S_RANGE = (1.0, 5.0)  # the unknown's interval
 T_RANGE = (0.0, 5.0)  # the data's interval
 
+# bytes of A per row block of build_fredholm_map's fill; the kernel's block
+# temporaries stay in L2. Of 32 KiB to 1 MiB and a whole-array evaluation,
+# 64 and 128 KiB built 500x100 to 2000x1000 fastest on a core with 2 MiB of L2
+FILL_BLOCK_BYTES = 1 << 17
+
 
 def build_fredholm_map(kernel, m, n):
     """Discretize a KERNELS integral operator on uniform grids into a DenseMap.
@@ -339,7 +345,8 @@ def build_fredholm_map(kernel, m, n):
     The unknown lives on the n right-endpoint nodes of S_RANGE and the data
     on the m right-endpoint nodes of T_RANGE; each matrix entry is the
     kernel value times the s-grid spacing (left-endpoint node t=c is not
-    used, so the data grid has exactly m nodes).
+    used, so the data grid has exactly m nodes). The entries are filled in
+    row blocks into one aligned_empty array, the only m x n array held.
     """
     m, n = int(m), int(n)
     if m <= 0 or n <= 0:
@@ -353,10 +360,12 @@ def build_fredholm_map(kernel, m, n):
         kfun = KERNELS[kernel]
     except KeyError:
         raise KernelEvaluationError(f"unknown kernel id {kernel!r}") from None
+    values, step = aligned_empty((m, n)), max(1, FILL_BLOCK_BYTES // (8 * n))
     # Overflow to inf is reported as KernelEvaluationError below, so the
     # intermediate floating-point warning carries no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = kfun(t, s)
+        for i in range(0, m, step):
+            values[i:i + step] = kfun(t[i:i + step], s)
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(values))[0]
         raise KernelEvaluationError(

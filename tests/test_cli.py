@@ -574,6 +574,16 @@ def test_bench_forms_each_clean_problem_once(tmp_path, monkeypatch, cold_bench_c
 
 
 @pytest.mark.parametrize("m, n", [(80, 30), (40, 40), (20, 60)])
+def test_bench_reduced_operator_is_aligned_r_over_a_zero_row(m, n, cold_bench_caches):
+    # R~ is [R; 0] (R alone when Q is square), written into aligned storage
+    entries = cli._bench_operator("poly", m, n).reduced.linmap.entries
+    r = np.linalg.qr(make_fredholm("poly", m, n).linmap.as_dense())[1]
+    expected = np.vstack((r, np.zeros((1, n)))) if m > n else r
+    assert entries.ctypes.data % 64 == 0
+    assert entries.shape == expected.shape and entries.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(80, 30), (40, 40), (20, 60)])
 def test_bench_reduction_fits_the_reduced_operator(m, n, cold_bench_caches):
     # b~ has R~'s rows: the residual entry exactly where R~ has its residual
     # row, and with it ||b~|| = ||b||

@@ -1,5 +1,6 @@
 """Operator abstractions: dense, diagonal, convolution, kernels, image IO."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from idarr import linops
-from idarr.arrayio import read_array, write_array
+from idarr.arrayio import aligned_empty, read_array, write_array
 from idarr.errors import DimensionError, GeometryError, IoError, KernelEvaluationError
 from idarr.linops import (
     BLOCK,
@@ -50,6 +51,10 @@ class TestDenseMap:
             m.apply(np.ones(4))
         with pytest.raises(DimensionError):
             m.apply_adjoint(np.ones(2))
+
+    def test_keeps_a_float64_array_without_copying(self):
+        entries = np.arange(6.0).reshape(3, 2)
+        assert np.shares_memory(DenseMap(entries).entries, entries)
 
     def test_as_dense_round_trips(self):
         entries = np.arange(6.0).reshape(3, 2)
@@ -660,10 +665,21 @@ class TestFredholmAssembly:
         ds = 4.0 / 3
         assert dense[2, 1] == pytest.approx(poly_decay_kernel(t[2], s[1]) * ds, rel=1e-15)
 
+    # 3000x200 (81 rows a block) and 3000x17 (963) span several row blocks of
+    # FILL_BLOCK_BYTES with a partial last one; 50x20 and 7x3 fit one block
+    @pytest.mark.parametrize("m, n", [(50, 20), (3000, 200), (3000, 17), (7, 3)])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_entries_bitwise_equal_to_scaled_kernel(self, kernel):
-        lm, s, t = build_fredholm_map(kernel, 50, 20)
-        np.testing.assert_array_equal(lm.entries, KERNELS[kernel](t, s) * ((5.0 - 1.0) / 20))
+    def test_entries_bitwise_equal_to_scaled_kernel(self, kernel, m, n):
+        lm, s, t = build_fredholm_map(kernel, m, n)
+        assert lm.entries.ctypes.data % 64 == 0 and lm.entries.flags.c_contiguous
+        assert lm.entries.tobytes() == (KERNELS[kernel](t, s) * ((5.0 - 1.0) / n)).tobytes()
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_build_holds_one_operator_array(self, kernel, traced_peak):
+        # the kernel is evaluated one row block at a time into the operator's
+        # own storage; a whole-array evaluation held two 16 MB arrays (2.006x)
+        peak = traced_peak(lambda: build_fredholm_map(kernel, 2000, 1000))
+        assert peak <= 1.25 * 8 * 2000 * 1000
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KernelEvaluationError):
@@ -673,6 +689,23 @@ class TestFredholmAssembly:
         monkeypatch.setitem(KERNELS, "overflow", lambda t, s: np.exp(1e3 * np.multiply.outer(t, s)))
         with pytest.raises(KernelEvaluationError, match="not finite"):
             build_fredholm_map("overflow", 10, 4)
+
+    def test_nonfinite_value_in_a_later_block_is_named(self, monkeypatch):
+        m, n, row, col = 3000, 200, 1000, 7  # 81 rows a block
+        _, s, t = build_fredholm_map("exp", m, n)
+        rows = []
+
+        def kernel(tb, sb):
+            rows.append(len(tb))
+            out = np.ones((len(tb), len(sb)))
+            out[tb == t[row], col] = np.inf
+            return out
+
+        monkeypatch.setitem(KERNELS, "late-inf", kernel)
+        with pytest.raises(KernelEvaluationError,
+                           match=re.escape(f"t={t[row]:g}, s={s[col]:g} is not finite")):
+            build_fredholm_map("late-inf", m, n)
+        assert len(rows) > 1 and rows[0] <= row < m  # the bad row is past the first block
 
     def test_exp_spectrum_decays_fast(self, exp_setup):
         sv = np.linalg.svd(exp_setup.linmap.as_dense(), compute_uv=False)
@@ -786,6 +819,22 @@ class TestArrayIo:
         assert got.flags.writeable and got.flags.c_contiguous
         assert got.tobytes() == a.tobytes()
         got[...] = 1.0  # writable in place
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7, 3), (101, 100), (0, 5)])
+    def test_aligned_empty_starts_on_a_cache_line(self, shape):
+        a = aligned_empty(shape)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.ctypes.data % 64 == 0
+        assert a.flags.c_contiguous and a.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7, 3), (101, 100), (3, 0)])
+    def test_read_array_result_starts_on_a_cache_line(self, tmp_path, rng, shape):
+        a = rng.standard_normal(shape)
+        path = tmp_path / "a.bin"
+        write_array(path, a)
+        got = read_array(path)
+        assert got.ctypes.data % 64 == 0
+        assert got.shape == shape and got.tobytes() == a.tobytes()
 
     def test_solve_on_negative_dimension_header_exits_2(self, tmp_path, rng, capsys):
         from idarr.cli import main
