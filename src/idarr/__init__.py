@@ -14,7 +14,6 @@ from .errors import (
     DimensionError,
     GeometryError,
     IdarrError,
-    InsufficientHistoryError,
     IoError,
     KernelEvaluationError,
     NumericalBreakdownError,

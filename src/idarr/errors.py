@@ -45,10 +45,6 @@ class StateError(IdarrError):
     """Operation invoked on an object in the wrong state (e.g. after termination)."""
 
 
-class InsufficientHistoryError(IdarrError):
-    """Too few recorded points for the requested selection rule."""
-
-
 class IoError(IdarrError):
     """Malformed or unreadable data file (image, kernel grid, vector, descriptor)."""
 

@@ -178,10 +178,12 @@ def _check_psf_size(shape, side):
 def _resolve_psf(psf, side):
     """Kernel for a side x side image from an array, "gaussian[:WIDTH]" or a text grid.
 
-    A bad width or an oversized kernel raises ValueError; a Gaussian is
-    sized before its grid is allocated.
+    A string is a Gaussian spec only when it is "gaussian" or starts with
+    "gaussian:" and no file of that name exists; any other string is a grid
+    path. A bad width or an oversized kernel raises ValueError; a Gaussian
+    is sized before its grid is allocated.
     """
-    if isinstance(psf, str) and psf.startswith("gaussian"):
+    if isinstance(psf, str) and psf.partition(":")[0] == "gaussian" and not os.path.exists(psf):
         _, _, w = psf.partition(":")
         width = float(w) if w else 2.0
         try:

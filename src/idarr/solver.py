@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagProcess
-from .errors import InsufficientHistoryError, NumericalBreakdownError
+from .errors import NumericalBreakdownError
 
 _LOG_FLOOR = 1e-300  # clamp before taking logs so a zero residual or norm stays finite
 CORNER_SCALE_FRAC = 0.05  # arc-length stencil of polyline_bends, as a fraction of the curve
@@ -29,20 +29,16 @@ CORNER_TIE_FRAC = 0.8  # bends within this fraction of the sharpest tie with it
 class StoppingRule:
     """The whole stopping policy of a solve, iterative or direct.
 
-    budget is the most iterations to run; reached(residual) ends a run
+    max_iters is the most iterations to run; reached(residual) ends a run
     early after a step; needs_iterates asks the solver to keep every
-    iterate. select(residuals, penalties, terminated, data_norm) picks
-    (k_stop, converged, weak_corner) from the norms of a path's points
+    iterate. select(history, terminated, data_norm) picks (k_stop,
+    converged, weak_corner) from the (K, 2) history of a path's points
     1..K: a finished run's iterates (none when nothing was explorable) or a
     direct ladder's strengths, strongest first. data_norm is ||b||, the
     residual of the zero iterate (k_stop 0).
     """
 
     needs_iterates = False
-
-    @property
-    def budget(self):
-        return self.max_iters
 
     def reached(self, residual):
         return False
@@ -54,7 +50,7 @@ class LCurve(StoppingRule):
 
     The corner is lcurve_corner of the log norms, each clamped at
     _LOG_FLOOR. min_iters is validated (at least 10, at most max_iters) but
-    does not change the run: the budget is max_iters.
+    does not change the run, which reads max_iters alone.
     """
 
     min_iters: int = 10
@@ -69,12 +65,10 @@ class LCurve(StoppingRule):
                 f"max_iters must be at least min_iters ({self.min_iters}), got {self.max_iters}"
             )
 
-    def select(self, residuals, penalties, terminated, data_norm):
-        if len(residuals) < 3:
-            # no corner to find; the zero iterate needs none
-            return len(residuals), True, len(residuals) > 0
-        pts = np.log(np.maximum(np.column_stack((residuals, penalties)), _LOG_FLOOR))
-        idx, weak = lcurve_corner(pts)
+    def select(self, history, terminated, data_norm):
+        if not len(history):
+            return 0, True, False  # the zero iterate needs no corner
+        idx, weak = lcurve_corner(np.log(np.maximum(history, _LOG_FLOOR)))
         return idx + 1, True, weak
 
 
@@ -97,13 +91,13 @@ class Discrepancy(StoppingRule):
     def reached(self, residual):
         return residual <= self.tau * self.noise_norm
 
-    def select(self, residuals, penalties, terminated, data_norm):
-        k = dp_stop(residuals, self.noise_norm, self.tau)
+    def select(self, history, terminated, data_norm):
+        k = dp_stop(history[:, 0], self.noise_norm, self.tau)
         if k is not None:
             return k, True, False
         # a path that never meets the threshold ends at its last point,
         # unconverged; the empty path is judged by the zero iterate's residual
-        return len(residuals), len(residuals) == 0 and bool(self.reached(data_norm)), False
+        return len(history), len(history) == 0 and bool(self.reached(data_norm)), False
 
 
 @dataclass(frozen=True)
@@ -117,11 +111,11 @@ class FixedIters(StoppingRule):
             raise ValueError("iteration count must be positive")
 
     @property
-    def budget(self):
+    def max_iters(self):
         return self.k
 
-    def select(self, residuals, penalties, terminated, data_norm):
-        return min(self.k, len(residuals)), len(residuals) >= self.k or terminated, False
+    def select(self, history, terminated, data_norm):
+        return min(self.k, len(history)), len(history) >= self.k or terminated, False
 
 
 # -- corner and discrepancy selection ----------------------------------------
@@ -181,30 +175,26 @@ def lcurve_corner(points):
     of the maximum count as ties, and ties resolve to the smallest index,
     so a curve with several comparably sharp corners yields the earliest
     one (the lower-left preference). Returns (index, weak) where weak flags a
-    selection made without a genuine positive bend (near-collinear data).
+    selection made without a genuine positive bend: near-collinear data, or
+    fewer than three points before or after pruning. An empty input, or one
+    that is not (k, 2), raises ValueError.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (k, 2) points, got shape {pts.shape}")
-    if pts.shape[0] < 3:
-        raise InsufficientHistoryError(
-            f"corner selection needs at least 3 points, got {pts.shape[0]}"
-        )
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError(f"expected (k, 2) points with k > 0, got shape {pts.shape}")
     floor = np.log(1e-250)
     start = 0
     while start < pts.shape[0] and pts[start, 1] <= floor:
         start += 1
-    sub = pts[start:]
-    if sub.shape[0] < 3:
-        return pts.shape[0] - 1, True
-    bend = polyline_bends(sub)
-    best = int(np.argmax(bend))
-    if bend[best] <= 1e-12:
-        # No genuine clockwise corner: the curve never turned toward a
-        # noise floor, so the least-regularized end is the defensible pick.
-        return pts.shape[0] - 1, True
-    near = np.flatnonzero(bend >= CORNER_TIE_FRAC * bend[best])
-    return start + 1 + int(near[0]), False
+    if pts.shape[0] - start >= 3:
+        bend = polyline_bends(pts[start:])
+        best = int(np.argmax(bend))
+        if bend[best] > 1e-12:
+            near = np.flatnonzero(bend >= CORNER_TIE_FRAC * bend[best])
+            return start + 1 + int(near[0]), False
+    # No genuine clockwise corner (too few points, or the curve never turned
+    # toward a noise floor), so the least-regularized end is the defensible pick.
+    return pts.shape[0] - 1, True
 
 
 def dp_stop(residuals, noise_norm, tau):
@@ -241,8 +231,8 @@ class UpdateState:
 
         Once the process has terminated, betas[-1] is the closing coupling;
         the solution update still applies but no new search direction is
-        formed. Returns (residual_norm, penalty_norm_sq) for the newly
-        completed iterate.
+        formed. Returns the (residual norm, penalty norm) history row of
+        the newly completed iterate.
         """
         beta_next = proc.betas[-1]
         rho = float(np.hypot(self.rhobar, beta_next))
@@ -260,10 +250,7 @@ class UpdateState:
             frac = theta / rho
             self.w = proc.z - frac * self.w
             self.wbar = proc.zbar - frac * self.wbar
-        return self.gammabar, self.penalty_norm_sq()
-
-    def penalty_norm_sq(self):
-        return max(float(self.x @ self.xbar), 0.0)
+        return self.gammabar, math.sqrt(max(float(self.x @ self.xbar), 0.0))
 
 
 # -- shared driver -----------------------------------------------------------
@@ -308,8 +295,7 @@ class SolveResult:
         """
         if not np.isfinite(history).all():
             raise NumericalBreakdownError("a residual or penalty norm of the path is not finite")
-        k_stop, converged, weak = stop.select(history[:, 0], history[:, 1],
-                                              reason is not None, data_norm)
+        k_stop, converged, weak = stop.select(history, reason is not None, data_norm)
         x = iterates[k_stop - 1] if k_stop < len(history) else last
         return cls(x=x.copy(), k_stop=int(k_stop), history=history, iterates=iterates,
                    reason=reason, converged=converged, weak_corner=weak,
@@ -340,12 +326,11 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
     x = np.zeros(linmap.cols)  # stays zero when nothing is explorable
     if not proc.terminated:
         state = UpdateState(proc)
-        while len(history) < stop.budget:
-            residual, norm_sq = state.step(proc.advance())
-            history.append((residual, math.sqrt(norm_sq)))
+        while len(history) < stop.max_iters:
+            history.append(state.step(proc.advance()))
             if store_iterates:
                 iterates.append(state.x.copy())
-            if proc.terminated or stop.reached(residual):
+            if proc.terminated or stop.reached(history[-1][0]):
                 break
         x = state.x
 

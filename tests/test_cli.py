@@ -772,6 +772,13 @@ class TestDeblurCommand:
         assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian:wide",
                      "--output-dir", str(tmp_path)]) == 1
 
+    def test_psf_spec_that_is_neither_gaussian_nor_a_file_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["deblur", "--image", "blobs:16", "--psf", "gaussian5",
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("io error: cannot read psf")
+        assert not out.exists()
+
     # a maxval-15 file's levels would be read as fractions of 255, a truth 17 times too dark
     @pytest.mark.parametrize("pgm", [
         b"P5\n12 10\n255\n" + bytes(120), b"P5\n16 16\n15\n" + bytes(range(16)) * 16,

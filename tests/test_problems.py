@@ -211,6 +211,17 @@ class TestDeblur:
         with pytest.raises(ValueError):
             make_deblur("blobs:16", psf=np.ones((1, 33)), nsr=0.0)
 
+    def test_psf_file_named_like_a_gaussian_is_read_as_a_grid(self, tmp_path, monkeypatch):
+        # only "gaussian" and "gaussian:WIDTH" name a Gaussian, and an existing file wins
+        monkeypatch.chdir(tmp_path)
+        box = np.full((3, 3), 1.0 / 9.0)
+        for name in ("gaussian_box.txt", "gaussian:2"):
+            np.savetxt(name, box)
+            problem = make_deblur("blobs:16", psf=name, nsr=0.0)
+            np.testing.assert_array_equal(problem.linmap.psf, box)
+        with pytest.raises(IoError):
+            make_deblur("blobs:16", psf="gaussian5", nsr=0.0)
+
     def test_array_image_in_unit_range_used_as_is(self):
         img = synthetic_image("ramp", 8)
         problem = make_deblur(img, psf=np.array([[1.0]]), nsr=0.0)

@@ -20,7 +20,6 @@ from idarr import (
     DimensionError,
     Discrepancy,
     FixedIters,
-    InsufficientHistoryError,
     LCurve,
     RkhsGeometry,
     add_noise,
@@ -237,9 +236,11 @@ class TestCornerDetector:
         idx, weak = lcurve_corner(pts)
         assert idx == len(pts) - 1 and weak
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(InsufficientHistoryError):
-            lcurve_corner([(0.0, 0.0), (-1.0, 0.0)])
+    def test_too_few_points_give_the_last_point_weak(self):
+        assert lcurve_corner([(0.0, 0.0), (-1.0, 0.0)]) == (1, True)
+        assert lcurve_corner([(0.0, 0.0)]) == (0, True)
+        with pytest.raises(ValueError):
+            lcurve_corner(np.zeros((0, 2)))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -358,33 +359,40 @@ class TestDiscrepancySelection:
 
 
 class TestRulesOnAPath:
-    """select reads a path's norms alone, so a direct ladder's points select as a run's do."""
+    """select reads a path's (K, 2) history alone, so a ladder's points select as a run's do."""
 
     def test_discrepancy_takes_the_first_point_under_the_threshold(self):
         rule = Discrepancy(0.1)
-        assert rule.select([0.5, 0.1, 0.05], [1.0, 2.0, 3.0], False, 1.0) == (2, True, False)
-        assert rule.select([0.5, 0.4], [1.0, 2.0], False, 1.0) == (2, False, False)
+        history = np.array([[0.5, 1.0], [0.1, 2.0], [0.05, 3.0]])
+        assert rule.select(history, False, 1.0) == (2, True, False)
+        assert rule.select(np.array([[0.5, 1.0], [0.4, 2.0]]), False, 1.0) == (2, False, False)
         # the empty path is judged by the zero iterate's residual
-        assert rule.select([], [], True, 0.1) == (0, True, False)
-        assert rule.select([], [], True, 1.0) == (0, False, False)
+        assert rule.select(np.zeros((0, 2)), True, 0.1) == (0, True, False)
+        assert rule.select(np.zeros((0, 2)), True, 1.0) == (0, False, False)
 
     def test_fixed_iters_takes_point_k(self):
         path = np.linspace(1.0, 0.1, 64)
-        assert FixedIters(5).select(path, path[::-1], False, 1.0) == (5, True, False)
-        assert FixedIters(70).select(path, path[::-1], False, 1.0) == (64, False, False)
-        assert FixedIters(70).select(path[:3], path[:3], True, 1.0) == (3, True, False)
+        history = np.column_stack((path, path[::-1]))
+        assert FixedIters(5).select(history, False, 1.0) == (5, True, False)
+        assert FixedIters(70).select(history, False, 1.0) == (64, False, False)
+        assert FixedIters(70).select(history[:3], True, 1.0) == (3, True, False)
 
     def test_corner_is_numbered_from_one(self):
         pts = np.array(
             [(-float(i), 0.0) for i in range(5)] + [(-4.0, float(j)) for j in range(1, 5)]
         )
         idx, weak = lcurve_corner(pts)
-        k_stop, converged, got_weak = LCurve().select(np.exp(pts[:, 0]), np.exp(pts[:, 1]),
-                                                      False, 1.0)
+        k_stop, converged, got_weak = LCurve().select(np.exp(pts), False, 1.0)
         assert (k_stop, converged, got_weak) == (idx + 1, True, weak)
 
+    def test_corner_rule_on_too_short_a_path_takes_its_last_point_weak(self):
+        history = np.array([[0.5, 1.0], [0.1, 2.0]])
+        assert LCurve().select(history[:1], False, 1.0) == (1, True, True)
+        assert LCurve().select(history, False, 1.0) == (2, True, True)
+        assert LCurve().select(np.zeros((0, 2)), True, 1.0) == (0, True, False)
+
     def test_discrepancy_budget_is_the_corner_rules(self):
-        assert Discrepancy(0.1).budget == LCurve().budget
+        assert Discrepancy(0.1).max_iters == LCurve().max_iters
 
 
 class TestStoppingRuleValidation:
