@@ -124,7 +124,7 @@ class BidiagProcess:
     def __init__(self, linmap, b, pinv_apply=None, reorthogonalize=False, keep_vectors=False):
         b, beta1 = check_data(b, linmap.rows)
         self.linmap = linmap
-        self.pinv_apply = pinv_apply if pinv_apply is not None else np.copy
+        self.pinv_apply = pinv_apply if pinv_apply is not None else np.ndarray.copy
         self.reorthogonalize = bool(reorthogonalize)
         self.keep_vectors = bool(keep_vectors or reorthogonalize)
         self.reason = None
@@ -168,7 +168,7 @@ class BidiagProcess:
         # the exact pairing is a positive semidefinite quadratic form; a
         # negative value is roundoff unless it is large both relative to the
         # summands and on the termination scale
-        sp = _finite(float(s @ p), "pairing s^T p")
+        sp = _finite(float(s.dot(p)), "pairing s^T p")
         if sp < 0.0:
             rel_tol = s.shape[0] * _EPS * np.linalg.norm(s) * np.linalg.norm(p)
             if sp < -rel_tol and -sp > abs_tol * abs_tol:
@@ -194,9 +194,13 @@ class BidiagProcess:
         if alpha <= self._tol:
             self.reason = "alpha"
             return
-        self.z = np.divide(s, alpha, out=self._Z.next_row(s.shape) if self.keep_vectors else s)
-        self.zbar = np.divide(p, alpha,
-                              out=self._Zbar.next_row(p.shape) if self.keep_vectors else p)
+        if self.keep_vectors:
+            self.z = np.divide(s, alpha, out=self._Z.next_row(s.shape))
+            self.zbar = np.divide(p, alpha, out=self._Zbar.next_row(p.shape))
+        else:  # in place: s and p are this step's own arrays
+            s /= alpha
+            p /= alpha
+            self.z, self.zbar = s, p
         self.alphas.append(alpha)
 
     def advance(self):
@@ -210,17 +214,21 @@ class BidiagProcess:
         betas ends with the closing beta (zero if the data-space direction
         vanished) and the state freezes.
         """
-        if self.terminated:
+        if self.reason is not None:
             raise StateError("process already terminated")
         r, atr = self.linmap.apply_residual(self.z, self.alphas[-1] * self.u)
         if self.reorthogonalize:
             _block_cgs2(r, atr, self.U, self.U, self._ATu.filled())
-        beta = _finite(math.sqrt(float(r @ r)), "coupling beta")
+        beta = _finite(math.sqrt(float(r.dot(r))), "coupling beta")
         if beta <= self._tol:
             self.reason = "beta"
             self.betas.append(0.0)
             return self
-        self.u = np.divide(r, beta, out=self._U.next_row(r.shape) if self.keep_vectors else r)
+        if self.keep_vectors:
+            self.u = np.divide(r, beta, out=self._U.next_row(r.shape))
+        else:
+            r /= beta
+            self.u = r
         self.betas.append(beta)
         atr /= beta  # now A^T u
         self._keep_atu(atr)

@@ -133,17 +133,17 @@ class DenseMap(LinearMap):
         """
         a, step = self.entries, max(1, NORMAL_BLOCK_BYTES // (8 * self.cols))
         if step >= self.rows:  # one block, without the loop's bookkeeping
-            r = a @ v
+            r = a.dot(v)  # ndarray.dot: the BLAS call of @ with less dispatch
             if w is not None:
                 r -= w
-            return r, a.T @ r
+            return r, a.T.dot(r)
         parts, out = [], None
         for i in range(0, self.rows, step):
             block = a[i:i + step]
-            r = block @ v
+            r = block.dot(v)
             if w is not None:
                 r -= w[i:i + step]
-            out = block.T @ r if out is None else np.add(out, block.T @ r, out=out)
+            out = block.T.dot(r) if out is None else np.add(out, block.T.dot(r), out=out)
             parts.append(r)
         return np.concatenate(parts), out
 

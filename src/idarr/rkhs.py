@@ -66,8 +66,8 @@ class RkhsGeometry:
         return (v.T / self.rho).T
 
     def apply_crkhs_pinv(self, p):
-        """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix."""
-        return self.solve_b(self.linmap.apply_residual(self.solve_b(p))[1])
+        """Apply C^+ = B^-1 A^T A B^-1 without forming any matrix; p is checked once."""
+        return (self.linmap.apply_residual(self.solve_b(p))[1].T / self.rho).T
 
     def weighted_norm(self, v):
         """Norm in L2(rho): sqrt(sum_i rho_i v_i^2)."""

@@ -137,7 +137,8 @@ def polyline_bends(pts):
     clockwise turn (moving left, then up). Returns the bend array for
     vertices 1..len-2, zeros when the curve has no usable extent.
     """
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    d = pts[1:] - pts[:-1]
+    seg = np.sqrt(np.add.reduce(d * d, axis=1))  # what np.linalg.norm(d, axis=1) computes
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
     if total <= 0.0:
@@ -146,13 +147,13 @@ def polyline_bends(pts):
     here = pts[1:-1]
     # the stencil points back and ahead of every interior vertex at once,
     # interpolated along the polyline; a zero-length segment yields its start
-    s = np.clip(np.concatenate((cum[1:-1] - h, cum[1:-1] + h)), 0.0, total)
-    j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, pts.shape[0] - 2)
+    s = np.minimum(np.maximum(np.concatenate((cum[1:-1] - h, cum[1:-1] + h)), 0.0), total)
+    j = np.minimum(np.maximum(np.searchsorted(cum, s, side="right") - 1, 0), pts.shape[0] - 2)
     span = cum[j + 1] - cum[j]
     moving = span > 0.0
     t = (s - cum[j]) / np.where(moving, span, 1.0)
     at = np.where(moving[:, None], pts[j] + t[:, None] * (pts[j + 1] - pts[j]), pts[j])
-    back, ahead = np.split(at, 2)
+    back, ahead = at[:len(here)], at[len(here):]
     d1 = here - back
     d2 = ahead - here
     a, b, c = (np.hypot(d[:, 0], d[:, 1]) for d in (d1, d2, ahead - back))
@@ -234,23 +235,24 @@ class UpdateState:
         formed. Returns the (residual norm, penalty norm) history row of
         the newly completed iterate.
         """
-        beta_next = proc.betas[-1]
-        rho = float(np.hypot(self.rhobar, beta_next))
-        c = self.rhobar / rho
+        beta_next, rhobar, gammabar = proc.betas[-1], self.rhobar, self.gammabar
+        x, xbar, w, wbar = self.x, self.xbar, self.w, self.wbar
+        rho = float(np.hypot(rhobar, beta_next))
+        c = rhobar / rho
         s = beta_next / rho
-        gamma = c * self.gammabar
-        self.gammabar = s * self.gammabar
+        gamma = c * gammabar
+        self.gammabar = gammabar = s * gammabar
         coef = gamma / rho
-        self.x += coef * self.w
-        self.xbar += coef * self.wbar
-        if not proc.terminated:
+        x += coef * w
+        xbar += coef * wbar
+        if proc.reason is None:
             alpha_next = proc.alphas[-1]
             theta = s * alpha_next
             self.rhobar = -c * alpha_next
             frac = theta / rho
-            self.w = proc.z - frac * self.w
-            self.wbar = proc.zbar - frac * self.wbar
-        return self.gammabar, math.sqrt(max(float(self.x @ self.xbar), 0.0))
+            self.w = w = proc.z - frac * w  # rebinding frees the old w now, not at return
+            self.wbar = wbar = proc.zbar - frac * wbar
+        return gammabar, math.sqrt(max(float(x.dot(xbar)), 0.0))
 
 
 # -- shared driver -----------------------------------------------------------
@@ -326,11 +328,12 @@ def _iterate(linmap, b, pinv_apply, stop, reorthogonalize=False, store_iterates=
     x = np.zeros(linmap.cols)  # stays zero when nothing is explorable
     if not proc.terminated:
         state = UpdateState(proc)
-        while len(history) < stop.max_iters:
-            history.append(state.step(proc.advance()))
+        step, advance, reached, max_iters = state.step, proc.advance, stop.reached, stop.max_iters
+        while len(history) < max_iters:
+            history.append(step(advance()))
             if store_iterates:
                 iterates.append(state.x.copy())
-            if proc.terminated or stop.reached(history[-1][0]):
+            if proc.reason is not None or reached(history[-1][0]):
                 break
         x = state.x
 

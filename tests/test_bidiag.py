@@ -33,6 +33,7 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
+from idarr import cli
 from idarr.properties import gaussian_instance, orthonormality_loss
 
 TOY_A = np.diag([2.0, 1.0])
@@ -402,6 +403,28 @@ class TestStateManagement:
         geom = toy_geom()
         factors = run_bidiag(geom, np.array([1.0, 0.0]), 10)
         np.testing.assert_allclose(coupling_matrix(factors, 1), [[6.0], [0.0]], atol=1e-12)
+
+
+class TestStorePaths:
+    """Kept rows and in-place scaling are two stores of one process, byte for byte."""
+
+    @pytest.mark.parametrize("metric", ["identity", "solve_b", "crkhs_pinv"])
+    def test_kept_and_unkept_vectors_are_bitwise_equal(self, metric):
+        bench = cli._bench_operator("poly", 500, 100)
+        geom = bench.reduced
+        b = bench.reduce(add_noise(cli._clean_problem("poly", 500, 100, "out-of-range"),
+                                   0.01, 3).b)
+        pinv = {"identity": None, "solve_b": geom.solve_b,
+                "crkhs_pinv": geom.apply_crkhs_pinv}[metric]
+        kept = BidiagProcess(geom.linmap, b, pinv_apply=pinv, keep_vectors=True)
+        lean = BidiagProcess(geom.linmap, b, pinv_apply=pinv)
+        for _ in range(30):
+            assert kept.advance() is kept and lean.advance() is lean
+            for name in ("u", "z", "zbar"):
+                assert getattr(kept, name).tobytes() == getattr(lean, name).tobytes(), name
+        assert kept.reason is None and lean.reason is None
+        assert kept.alphas == lean.alphas and kept.betas == lean.betas
+        assert len(kept.Z) == 31 and len(lean.Z) == 0
 
 
 class TestBlockReorthogonalization:

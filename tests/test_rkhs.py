@@ -43,7 +43,7 @@ from idarr import (
     tikhonov_direct,
     true_solution,
 )
-from idarr import linops
+from idarr import cli, linops
 from idarr.cli import main
 from idarr.rkhs import N_LAMBDAS
 
@@ -160,6 +160,17 @@ def two_product_crkhs_pinv(geom, p):
 
 class TestFusedMetric:
     """C^+ reads a dense operator once; solves keep the two-product path's results."""
+
+    @pytest.mark.parametrize("shape", [(100,), (100, 3)], ids=["vector", "block"])
+    @pytest.mark.parametrize("operator", ["R~", "A"])
+    def test_one_block_map_is_bitwise_the_two_products(self, shape, operator):
+        bench = cli._bench_operator("poly", 500, 100)
+        geom = bench.reduced if operator == "R~" else bench.setup.geom
+        assert 8 * geom.linmap.rows * geom.linmap.cols <= linops.NORMAL_BLOCK_BYTES
+        p = np.random.default_rng(7).standard_normal(shape)
+        got = geom.apply_crkhs_pinv(p)
+        assert got.tobytes() == two_product_crkhs_pinv(geom, p).tobytes()
+        assert got.shape == shape
 
     def test_reorthogonalized_idarr_on_many_blocks_matches_two_products(self, monkeypatch):
         setup = make_fredholm("poly", 300, 120)

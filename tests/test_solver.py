@@ -34,6 +34,7 @@ from idarr import (
     run_bidiag,
     true_solution,
 )
+from idarr import cli, solver
 from idarr.properties import (rank_deficient_instance, residual_gaps, restricted_solution,
                               subspace_deviation)
 from idarr.solver import polyline_bends
@@ -84,6 +85,59 @@ def reference_polyline_bends(pts, scale_frac=0.05):
             cross = d1[0] * d2[1] - d1[1] * d2[0]
             bends[i - 1] = -2.0 * cross / abc
     return bends
+
+
+def clip_split_polyline_bends(pts):
+    """polyline_bends written with np.clip, np.split and np.linalg.norm of np.diff.
+
+    The library's body replaces those calls by their arithmetic; it must
+    stay bitwise equal to this one.
+    """
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    total = float(cum[-1])
+    if total <= 0.0:
+        return np.zeros(pts.shape[0] - 2)
+    h = solver.CORNER_SCALE_FRAC * total
+    here = pts[1:-1]
+    s = np.clip(np.concatenate((cum[1:-1] - h, cum[1:-1] + h)), 0.0, total)
+    j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, pts.shape[0] - 2)
+    span = cum[j + 1] - cum[j]
+    moving = span > 0.0
+    t = (s - cum[j]) / np.where(moving, span, 1.0)
+    at = np.where(moving[:, None], pts[j] + t[:, None] * (pts[j + 1] - pts[j]), pts[j])
+    back, ahead = np.split(at, 2)
+    d1 = here - back
+    d2 = ahead - here
+    a, b, c = (np.hypot(d[:, 0], d[:, 1]) for d in (d1, d2, ahead - back))
+    abc = a * b * c
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    curved = abc > 0.0
+    return np.where(curved, -2.0 * cross / np.where(curved, abc, 1.0), 0.0)
+
+
+@pytest.fixture(scope="module")
+def bench_log_paths():
+    """Log-norm paths of fredholm-bench rows, clamped as LCurve clamps them.
+
+    108 iterative 30-point runs (iDARR, IR-l2, IR-L2 on both kernels' R~)
+    and six DARTR 64-point ladders.
+    """
+    runs, ladders = [], []
+    for kernel, truth in (("exp", "in-range"), ("poly", "out-of-range")):
+        bench = cli._bench_operator(kernel, 500, 100)
+        clean = cli._clean_problem(kernel, 500, 100, truth)
+        factored = cli._get_factored(kernel, 500, 100, "DARTR")
+        for nsr, seed in itertools.product((0.01, 0.1, 0.5), range(6)):
+            b = bench.reduce(add_noise(clean, nsr, seed).b)
+            for method in ("iDARR", "IR-l2", "IR-L2"):
+                runs.append(cli.run_method(method, bench.reduced.linmap, bench.reduced, b,
+                                           LCurve()).history)
+            if seed == 0:
+                ladders.append(cli.run_method("DARTR", bench.reduced.linmap, bench.reduced, b,
+                                              LCurve(), factored).history)
+    assert {h.shape for h in runs} == {(30, 2)} and {h.shape for h in ladders} == {(64, 2)}
+    return [np.log(np.maximum(h, solver._LOG_FLOOR)) for h in runs + ladders]
 
 
 def toy_geom():
@@ -294,6 +348,23 @@ class TestCornerDetector:
             want = reference_polyline_bends(pts)
             got = polyline_bends(pts)
             assert got.tobytes() == want.tobytes(), trial
+
+    def test_bends_and_picks_bitwise_equal_to_clip_split_body(self, bench_log_paths,
+                                                               monkeypatch):
+        first = bench_log_paths[0]
+        stalled = first.copy()
+        stalled[12:] = first[12] + 1e-15 * np.arange(18)[:, None]
+        repeated = np.repeat(first, 2, axis=0)
+        collapsed = first.copy()
+        collapsed[:4, 1] = np.log(1e-300)
+        edge_cases = [stalled, repeated, collapsed, first[[0, 9, 29]], np.ones((5, 2)),
+                      np.ones((3, 2)), first[[4, 4, 4, 20, 20, 29, 29]]]
+        paths = bench_log_paths + edge_cases
+        picks = [lcurve_corner(pts) for pts in paths]
+        for pts in paths:
+            assert polyline_bends(pts).tobytes() == clip_split_polyline_bends(pts).tobytes()
+        monkeypatch.setattr(solver, "polyline_bends", clip_split_polyline_bends)
+        assert picks == [lcurve_corner(pts) for pts in paths]
 
     @settings(max_examples=40, deadline=None)
     @given(
