@@ -29,7 +29,7 @@ from .errors import (
     TrivialDataError,
     UsageError,
 )
-from .linops import KERNELS, DenseMap, write_pgm
+from .linops import KERNELS, DenseMap, one_group_passes, usable_cpus, write_pgm
 from .problems import (
     NSR_LADDER,
     TRUTH_KINDS,
@@ -197,11 +197,7 @@ def _write_csv(path, header, rows):
 
 
 def _worker_count():
-    """Benchmark worker processes: IDARR_THREADS (default 1), at most the usable CPUs.
-
-    Usable CPUs are those this process may run on (its affinity mask), or
-    the host's count where the platform has no affinity call.
-    """
+    """Benchmark worker processes: IDARR_THREADS (default 1), at most ``usable_cpus()``."""
     raw = os.environ.get("IDARR_THREADS", "1")
     try:
         count = int(raw)
@@ -209,9 +205,7 @@ def _worker_count():
         count = 0
     if count < 1:
         raise UsageError(f"IDARR_THREADS must be a positive integer, got {raw!r}")
-    if hasattr(os, "sched_getaffinity"):
-        return min(count, len(os.sched_getaffinity(0)))
-    return min(count, os.cpu_count() or 1)
+    return min(count, usable_cpus())
 
 
 # -- benchmark rows ----------------------------------------------------------
@@ -359,7 +353,8 @@ def cmd_fredholm_bench(args):
     os.makedirs(sol_dir, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a worker's fused passes run on one group: workers x pass threads <= usable CPUs
+        with ProcessPoolExecutor(max_workers=workers, initializer=one_group_passes) as pool:
             outcomes = list(pool.map(run_cell, *zip(*cells), chunksize=4))
     else:
         outcomes = [run_cell(*cell) for cell in cells]

@@ -6,9 +6,12 @@ discretizations, and spatially invariant image blur. All solvers in this
 package touch operators only through apply, apply_adjoint and
 apply_residual (r = A v - w, or A v with no w, and A^T r), whose default is
 built from the first two, so any map that implements those is usable
-matrix-free. DenseMap runs apply_residual as one pass over blocks of rows.
+matrix-free. DenseMap runs apply_residual as one pass over blocks of rows,
+split over the usable CPUs when there are enough blocks; its result is
+bitwise that of one thread.
 """
 
+import os
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -106,8 +109,59 @@ class LinearMap(ABC):
 NORMAL_BLOCK_BYTES = 1 << 20
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask, or the host's count where
+    the platform has no affinity call.
+
+    The one count behind the fused pass's groups and the benchmark's worker
+    processes.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # the fused pass's threads, made on its first pass of more than one group
+_one_group = False  # set by one_group_passes
+
+
+def one_group_passes():
+    """Run this process's fused passes on one group, with no threads.
+
+    A worker process of a process pool calls it first, so that worker
+    processes times pass threads stay within the usable CPUs.
+    """
+    global _one_group
+    _one_group = True
+
+
+def _forget_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _thread_pool():
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # only a multi-group pass loads it
+        # a thread is made only when every other one is busy: at most groups - 1
+        _pool = ThreadPoolExecutor(thread_name_prefix="idarr-pass")
+    return _pool
+
+
 class DenseMap(LinearMap):
-    """Operator backed by an explicit matrix, kept as given: a float64 array is not copied."""
+    """Operator backed by an explicit matrix, kept as given: a float64 array is not copied.
+
+    ``apply_residual`` reads the matrix once, in row blocks of
+    ``NORMAL_BLOCK_BYTES``; with at least four blocks it splits them into
+    contiguous groups, one per usable CPU and at least two blocks each, and
+    runs every group but the first on a thread. The result is bitwise that of
+    one group.
+    """
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=np.float64)
@@ -126,10 +180,15 @@ class DenseMap(LinearMap):
         """(r, A^T r) with r = A v - w (A v when w is None) in one read of A.
 
         Each row block a_i of NORMAL_BLOCK_BYTES forms r_i = a_i v - w_i and
-        adds a_i^T r_i while it is in cache. The blocks' products are summed
-        in order, so a matrix that fits one block gives bitwise the two
-        products ``apply`` and ``apply_adjoint``; more blocks agree with them
-        up to the rounding of the sum.
+        its share a_i^T r_i while it is in cache. A matrix that fits one block
+        gives bitwise the two products ``apply`` and ``apply_adjoint``; more
+        blocks agree with them up to the rounding of the sum of the shares.
+
+        The blocks form min(usable_cpus(), blocks // 2) contiguous groups
+        (one in a process that called ``one_group_passes``). The caller runs
+        the first group, the thread pool the others, each writing its rows of
+        r; each later group hands back its shares, and the caller adds every
+        share in block order, so the result is bitwise that of one group.
         """
         a, step = self.entries, max(1, NORMAL_BLOCK_BYTES // (8 * self.cols))
         if step >= self.rows:  # one block, without the loop's bookkeeping
@@ -137,15 +196,27 @@ class DenseMap(LinearMap):
             if w is not None:
                 r -= w
             return r, a.T.dot(r)
-        parts, out = [], None
-        for i in range(0, self.rows, step):
-            block = a[i:i + step]
-            r = block.dot(v)
-            if w is not None:
-                r -= w[i:i + step]
-            out = block.T.dot(r) if out is None else np.add(out, block.T.dot(r), out=out)
-            parts.append(r)
-        return np.concatenate(parts), out
+        starts = range(0, self.rows, step)
+        count = len(starts) // 2  # two blocks a group at least; CPUs asked only if two can form
+        count = min(count, usable_cpus()) if count > 1 and not _one_group else 1
+        r = np.empty((self.rows, *v.shape[1:]))
+
+        def shares(group):  # fills the group's rows of r, yielding a_i^T r_i in block order
+            for i in starts[group * len(starts) // count:(group + 1) * len(starts) // count]:
+                block, r_i = a[i:i + step], r[i:i + step]
+                block.dot(v, out=r_i)
+                if w is not None:
+                    r_i -= w[i:i + step]
+                yield block.T.dot(r_i)
+
+        later = [_thread_pool().submit(list, shares(g)) for g in range(1, count)]
+        out = None
+        for share in shares(0):
+            out = share if out is None else np.add(out, share, out=out)
+        for group in later:
+            for share in group.result():
+                np.add(out, share, out=out)
+        return r, out
 
     def column_abs_sums(self):
         # bitwise np.abs(entries).sum(axis=0): NumPy sums contiguous columns pairwise, else by rows

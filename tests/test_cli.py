@@ -34,7 +34,8 @@ from idarr import (
     true_solution,
     write_array,
 )
-from idarr import KernelEvaluationError, UsageError, build_fredholm_map, cli, problems, rkhs
+from idarr import (KernelEvaluationError, UsageError, build_fredholm_map, cli, linops,
+                   problems, rkhs)
 from idarr.cli import (
     ITERATIVE_METHODS,
     ExperimentConfig,
@@ -412,6 +413,41 @@ class TestBenchCommand:
         assert main(argv) == 1
         assert "operator rank below 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+def test_worker_pool_matches_threaded_passes(tmp_path, monkeypatch):
+    # R~ of a 1000 x 800 operator is 801 x 800, five row blocks: one process runs its
+    # passes on two groups of threads, each of two worker processes on one group
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(linops, "usable_cpus", lambda: 2)
+    reduced = cli._bench_operator("poly", 1000, 800).reduced.linmap
+    assert 8 * reduced.rows * reduced.cols >= 4 * linops.NORMAL_BLOCK_BYTES
+
+    def outputs(threads):
+        monkeypatch.setenv("IDARR_THREADS", threads)
+        out = tmp_path / threads
+        assert main(["fredholm-bench", "--kernel", "poly", "--m", "1000", "--n", "800",
+                     "--nsr-ladder", "0.5,0.25", "--trials", "2", "--methods", "iDARR,IR-L2",
+                     "--output-dir", str(out)]) == 0
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file()}
+        files["config_used.cfg"] = files["config_used.cfg"].replace(str(out).encode(), b"")
+        files["results.csv"] = [{k: v for k, v in row.items() if k != "wall_time_ms"}
+                                for row in read_csv(out / "results.csv")]
+        return files
+
+    groups, pool, parent = [], linops._thread_pool, os.getpid()
+
+    def counted_pool():  # a forked worker inherits it, and must not call it
+        assert os.getpid() == parent, "a worker process ran a pass on threads"
+        groups.append(1)
+        return pool()
+
+    monkeypatch.setattr(linops, "_thread_pool", counted_pool)
+    threaded = outputs("1")
+    assert groups  # later groups went to the thread pool
+    assert outputs("2") == threaded
 
 
 def test_import_leaves_multiprocessing_unloaded():

@@ -1,6 +1,10 @@
 """Operator abstractions: dense, diagonal, convolution, kernels, image IO."""
 
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -576,6 +580,169 @@ class TestResidualProduct:
         ]:
             with pytest.raises(DimensionError):
                 lm.apply_residual(np.ones(v_shape), None if w_shape is None else np.ones(w_shape))
+
+
+def loop_fused_pass(a, v, w, step):
+    """DenseMap's fused pass as one loop over row blocks of ``step`` rows: the
+    reference that a pass in groups must match bitwise."""
+    parts, out = [], None
+    for i in range(0, a.shape[0], step):
+        block = a[i:i + step]
+        r = block.dot(v)
+        if w is not None:
+            r -= w[i:i + step]
+        out = block.T.dot(r) if out is None else np.add(out, block.T.dot(r), out=out)
+        parts.append(r)
+    return np.concatenate(parts), out
+
+
+class CountingPool:
+    """The fused pass's thread pool, counting the groups handed to it."""
+
+    def __init__(self):
+        self.pool, self.groups = linops._thread_pool(), 0
+
+    def submit(self, fn, *args):
+        self.groups += 1
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture()
+def pass_threads(monkeypatch):
+    """pass_threads(cpus) makes cpus the usable CPUs and returns the counting pool."""
+
+    def force(cpus):
+        pool = CountingPool()
+        monkeypatch.setattr(linops, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linops, "_thread_pool", lambda: pool)
+        return pool
+
+    return force
+
+
+def pass_bytes(lm, v, w=None):
+    return tuple(out.tobytes() for out in lm.apply_residual(v, w))
+
+
+def send_pass_bytes(conn, lm, v):
+    """A forked child's threaded pass: whether it started with no pool, and its bytes."""
+    fresh = linops._pool is None
+    conn.send((fresh, pass_bytes(lm, v)))
+
+
+class TestGroupedPass:
+    """DenseMap's fused pass in groups of row blocks, the caller running the first
+    and the thread pool the others, is bitwise the one-loop pass."""
+
+    ROWS_PER_BLOCK, COLS = 16, 50
+
+    @SHIFT
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("blocks, cpus, groups", [
+        (4, 1, 1), (4, 2, 2), (4, 3, 2),  # at least two blocks per group
+        (5, 2, 2), (5, 3, 2),             # uneven groups of 2 and 3 blocks
+        (16, 1, 1), (16, 2, 2), (16, 3, 3),
+    ])
+    def test_bitwise_the_one_loop_pass(self, blocks, cpus, groups, order, k, shift, rng,
+                                       monkeypatch, pass_threads):
+        step = self.ROWS_PER_BLOCK
+        monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * self.COLS * step)
+        rows = step * (blocks - 1) + 5  # a short last block of 5 rows
+        lm = DenseMap(np.asarray(rng.standard_normal((rows, self.COLS)), order=order))
+        v, w = residual_operands(lm, k, shift, rng)
+        pool = pass_threads(cpus)
+        got = pass_bytes(lm, v, w)
+        assert pool.groups == groups - 1
+        assert got == tuple(out.tobytes() for out in loop_fused_pass(lm.entries, v, w, step))
+
+    def test_repeated_passes_under_fast_thread_switching(self, rng, monkeypatch,
+                                                          pass_threads):
+        # more groups than this host may have cores, the interpreter switching
+        # threads every microsecond: rows written by one group and shares added
+        # out of order would show in some of the passes
+        step = self.ROWS_PER_BLOCK
+        monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * self.COLS * step)
+        lm = DenseMap(rng.standard_normal((16 * step, self.COLS)))
+        v, w = residual_operands(lm, 3, True, rng)
+        want = tuple(out.tobytes() for out in loop_fused_pass(lm.entries, v, w, step))
+        pool = pass_threads(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(pass_bytes(lm, v, w) == want for _ in range(200))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.groups == 200 * 3
+
+    def test_a_process_of_one_group_passes_uses_no_thread(self, rng, monkeypatch,
+                                                          pass_threads):
+        monkeypatch.setattr(linops, "_one_group", True)
+        pool = pass_threads(4)
+        lm = DenseMap(rng.standard_normal((2000, 1000)))  # 16 blocks
+        v = rng.standard_normal(lm.cols)
+        got = pass_bytes(lm, v)
+        assert pool.groups == 0
+        assert got == tuple(out.tobytes() for out in loop_fused_pass(lm.entries, v, None, 131))
+
+    def test_live_bytes_are_the_vectors_and_the_held_shares(self, rng, traced_peak,
+                                                             pass_threads):
+        # r (m), the sum (n) and the shares held at once: the share being added and
+        # the next one in one group; with two, also the 8 shares of the second group,
+        # which wait for the first. 8 KiB covers the frames, futures and lists
+        m, n, blocks, margin = 2000, 1000, 16, 8192
+        lm = DenseMap(rng.standard_normal((m, n)))
+        assert -(-m // (linops.NORMAL_BLOCK_BYTES // (8 * n))) == blocks
+        v, w = residual_operands(lm, None, True, rng)
+        want = tuple(out.tobytes() for out in loop_fused_pass(lm.entries, v, w, 131))
+        for cpus, held in ((1, 2), (2, 2 + blocks // 2)):
+            pass_threads(cpus)
+            assert pass_bytes(lm, v, w) == want  # the first call may make the pool's thread
+            peak = traced_peak(lambda: lm.apply_residual(v, w))
+            assert peak <= 8 * (m + n + held * n) + margin, (cpus, peak)
+        # a list of every block's share would pass no budget of one group
+        assert 8 * (m + n + blocks * n) > 8 * (m + n + 2 * n) + margin
+
+    def test_passes_of_one_group_start_no_thread(self):
+        # one block, two blocks (one group) and a PSF map; then four blocks, two groups
+        code = "\n".join([
+            "import sys, threading, numpy as np",
+            "from idarr import linops",
+            "linops.usable_cpus = lambda: 2",
+            "for shape in [(500, 100), (500, 400)]:",
+            "    linops.DenseMap(np.ones(shape)).apply_residual(np.ones(shape[1]))",
+            "psf = linops.PsfConvolutionMap(32, linops.gaussian_psf(1.5))",
+            "psf.apply_residual(np.ones(psf.cols))",
+            "assert 'concurrent.futures' not in sys.modules and threading.active_count() == 1",
+            "linops.DenseMap(np.ones((500, 800))).apply_residual(np.ones(800))",
+            "assert linops._pool is not None and threading.active_count() == 2",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform has no fork")
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+    def test_a_forked_child_runs_a_threaded_pass(self, rng, monkeypatch, pass_threads):
+        monkeypatch.setattr(linops, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(linops, "NORMAL_BLOCK_BYTES", 8 * self.COLS * self.ROWS_PER_BLOCK)
+        lm = DenseMap(rng.standard_normal((16 * self.ROWS_PER_BLOCK, self.COLS)))
+        v = rng.standard_normal(lm.cols)
+        want = pass_bytes(lm, v)
+        assert linops._pool is not None  # the parent's pass ran on its thread
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_pass_bytes, args=(send, lm, v))
+        child.start()
+        try:
+            # a child that kept its parent's pool would wait on a thread it lacks
+            assert recv.poll(60), "the forked child's pass did not finish"
+            assert recv.recv() == (True, want)
+        finally:
+            child.kill()
+            child.join()
 
 
 class TestInheritedMethods:
